@@ -25,7 +25,6 @@ from .lucas import (
     hat_closed_form,
     k_lucas_number,
     lucas_transform,
-    lucas_transform_bell,
     lucas_transform_bell_prefix,
     narayana_hat_number,
     perrin_number,
@@ -45,7 +44,7 @@ from .oracle import (
     mat_trace,
     verify_recurrence,
 )
-from .progression import GammaVector, gamma_coefficients, hat_from_gamma, subseq_recurrence
+from .progression import GammaVector, gamma_coefficients, subseq_recurrence
 from .sums import (
     DegenerateDivisor,
     InvertSumCheck,
@@ -96,13 +95,11 @@ __all__ = [
     "fit_recurrence",
     "gamma_coefficients",
     "hat_closed_form",
-    "hat_from_gamma",
     "invert_partial_sum",
     "invert_sequence",
     "k_lucas_number",
     "lambda_decompose",
     "lucas_transform",
-    "lucas_transform_bell",
     "lucas_transform_bell_prefix",
     "mat_mul",
     "mat_pow",

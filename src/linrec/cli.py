@@ -9,6 +9,7 @@ numbers as decimal strings); diagnostics go to stderr.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -30,6 +31,7 @@ from .sums import DegenerateDivisor, partial_sum_closed, partial_sum_form
 
 _MAX_DEPTH = 10_000
 _RANGE = re.compile(r"^(\d+)\.\.(\d+)$")
+_NEGATIVE = re.compile(r"^-\d")
 
 
 def _fmt(value) -> str:
@@ -323,7 +325,9 @@ def _add_spec_flags(sub: argparse.ArgumentParser, init: bool = True) -> None:
     sub.add_argument("--catalog", help="use a catalog entry instead of inline values")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="linrec",
         description="Exact linear-recurrence toolkit: terms, trace sequences, "
@@ -378,13 +382,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_lists(argv: list[str]) -> list[str]:
+    """Rewrite ``--coeffs -1,2`` as ``--coeffs=-1,2``: argparse reads a bare -1,2 as an option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--coeffs", "--init") and _NEGATIVE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     # exact terms grow huge; printing them is the point, so drop the
     # interpreter's int-to-str digit guard for this process
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_lists(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.handler(parser, args)
     except DegenerateDivisor as exc:

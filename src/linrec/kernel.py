@@ -52,10 +52,15 @@ def exact_div(a, n):
 
     In the int domain the quotient must be an integer (DivisionNotExact
     otherwise).  Fraction and Poly values divide exactly by construction.
-    A Fraction divisor is accepted for rational-coefficient callers.
+    A Fraction or constant Poly divisor is accepted for rational-coefficient
+    callers; a non-constant Poly divisor raises DomainError.
     """
     if n == 0:
         raise ZeroDivisionError("exact_div by zero")
+    if isinstance(n, Poly):
+        if n.total_degree() > 0:
+            raise DomainError(f"exact_div needs a constant divisor, got the polynomial {n}")
+        n = n([0] * n.nvars)  # its value, as an int or a Fraction
     if isinstance(a, Poly):
         return a * (Fraction(1) / Fraction(n))
     if isinstance(a, int) and isinstance(n, int):
@@ -103,10 +108,16 @@ def lower_like(value, exemplars):
     """Collapse a rational intermediate back into the exemplars' domain.
 
     When every exemplar is an int the cancellation must have been complete,
-    so the value is lowered with :func:`as_integer` (DivisionNotExact marks
-    an internal bug).  Poly and Fraction results pass through unchanged.
+    so the value is lowered with :func:`as_integer`; a Poly result must have
+    integer coefficients when every exemplar does (DivisionNotExact marks an
+    internal bug).  Fraction results pass through unchanged.
     """
     if isinstance(value, Poly):
+        if not value.has_integer_coefficients() and all(
+            isinstance(e, int) or (isinstance(e, Poly) and e.has_integer_coefficients())
+            for e in exemplars
+        ):
+            raise DivisionNotExact(f"expected integer coefficients, got {value}")
         return value
     if all(isinstance(e, int) for e in exemplars):
         return as_integer(value)
@@ -275,6 +286,8 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        if self.total_degree() <= 0:  # equal to a scalar, so hash like one
+            return hash(self.constant_value())
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __bool__(self):

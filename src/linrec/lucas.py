@@ -22,23 +22,21 @@ import math
 
 from .bell import bell_table
 from .kernel import DomainError, as_integer, lower_like, ring_const, ring_exemplar
-from .recurrence import CoeffVector, as_coeff_vector
+from .recurrence import CoeffVector, _extend, as_coeff_vector
 
 
 class UnknownFamily(ValueError):
     """No closed-form trace formula is registered under that family name."""
 
 
-def _hat_extend(c: tuple, terms: list, upto: int) -> list:
-    """Continue a trace-term list (already holding hat_0..) up to index upto."""
-    d = len(c)
-    while len(terms) <= upto:
+def _newton_head(c: tuple, terms: list, upto: int) -> list:
+    """Grow trace terms (holding hat_0 = d) in place by Newton's identities to hat_{min(upto, d-1)}.
+
+    From hat_d on, Newton's identity is the recurrence itself, because hat_0 = d.
+    """
+    while len(terms) <= min(upto, len(c) - 1):
         n = len(terms)
-        if n <= d:
-            value = sum(c[j - 1] * terms[n - j] for j in range(1, n)) + n * c[n - 1]
-        else:
-            value = sum(c[j - 1] * terms[n - j] for j in range(1, d + 1))
-        terms.append(value)
+        terms.append(sum(c[j - 1] * terms[n - j] for j in range(1, n)) + n * c[n - 1])
     return terms
 
 
@@ -53,7 +51,7 @@ class LucasTransform:
         """A transform carrying at least terms 0..upto (self if already long enough)."""
         if upto < len(self.terms):
             return self
-        terms = _hat_extend(self.coeffs.c, list(self.terms), upto)
+        terms = _extend(self.coeffs.c, _newton_head(self.coeffs.c, list(self.terms), upto), upto)
         return LucasTransform(self.coeffs, tuple(terms))
 
 
@@ -62,13 +60,15 @@ def lucas_transform(coeffs, upto: int) -> LucasTransform:
     cv = as_coeff_vector(coeffs)
     if upto < 0:
         raise DomainError(f"lucas_transform needs upto >= 0, got {upto}")
-    seed = ring_const(cv.d, ring_exemplar(cv.c))
-    terms = _hat_extend(cv.c, [seed], upto)
-    return LucasTransform(cv, tuple(terms))
+    return LucasTransform(cv, (ring_const(cv.d, ring_exemplar(cv.c)),)).extended(upto)
 
 
 def lucas_transform_bell_prefix(coeffs, upto: int) -> list:
-    """Trace terms hat_1..hat_upto by the Bell expansion, one shared table."""
+    """Trace terms hat_1..hat_upto by the Bell expansion, one shared table.
+
+    Given g = gamma_coefficients(c, m).gamma it returns hat_m, hat_2m, ... of c,
+    a round trip through the whole gamma pipeline.
+    """
     cv = as_coeff_vector(coeffs)
     if upto < 1:
         raise DomainError(f"lucas_transform_bell_prefix needs upto >= 1, got {upto}")
@@ -81,13 +81,6 @@ def lucas_transform_bell_prefix(coeffs, upto: int) -> list:
             total = total + Fraction(math.factorial(k - 1), math.factorial(n - 1)) * table[n][k]
         out.append(lower_like(total, cv.c))
     return out
-
-
-def lucas_transform_bell(coeffs, n: int):
-    """Single trace term hat_n by the Bell expansion (independent of Newton)."""
-    if n < 1:
-        raise DomainError(f"lucas_transform_bell needs n >= 1, got {n}")
-    return lucas_transform_bell_prefix(coeffs, n)[-1]
 
 
 # ---------------------------------------------------------------------------

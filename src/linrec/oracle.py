@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import DomainError
+from .kernel import DomainError, Poly
 from .recurrence import CoeffVector, as_coeff_vector
 
 
@@ -84,8 +84,9 @@ def mat_pow(mat: list[list], exponent: int) -> list[list]:
     while exponent:
         if exponent & 1:
             result = mat_mul(result, base)
-        base = mat_mul(base, base)
         exponent >>= 1
+        if exponent:  # past the top bit the square would go unused
+            base = mat_mul(base, base)
     return result
 
 
@@ -184,10 +185,13 @@ def fit_recurrence(terms, d: int):
     solution is unique with nonzero trailing coefficient, UNDERDETERMINED
     when the system is singular (or only a lower-order recurrence fits),
     and raises NoSolution when the windows are mutually inconsistent.
+    Poly terms are outside the domain (DomainError).
     """
     if d < 1:
         raise DomainError(f"fit_recurrence needs d >= 1, got {d}")
     terms = list(terms)
+    if any(isinstance(t, Poly) for t in terms):
+        raise DomainError("fit_recurrence solves over int and Fraction terms, not Poly")
     if len(terms) < 2 * d:
         raise DomainError(f"need at least {2 * d} terms to fit order {d}, got {len(terms)}")
     aug = [

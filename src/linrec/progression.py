@@ -21,8 +21,8 @@ from fractions import Fraction
 import math
 
 from .bell import bell_table
-from .kernel import DivisionNotExact, DomainError, Poly, as_integer
-from .lucas import lucas_transform, lucas_transform_bell_prefix
+from .kernel import DomainError, lower_like
+from .lucas import lucas_transform
 from .recurrence import CoeffVector, RecurrenceSpec, as_coeff_vector, seq_range
 
 
@@ -40,21 +40,6 @@ class GammaVector:
     @property
     def d(self) -> int:
         return self.coeffs.d
-
-
-def _lower(value, exemplars):
-    """Lower a rational intermediate into the coefficient domain, asserting exactness."""
-    if isinstance(value, Poly):
-        clean = all(
-            isinstance(e, int) or (isinstance(e, Poly) and e.has_integer_coefficients())
-            for e in exemplars
-        )
-        if clean and not value.has_integer_coefficients():
-            raise DivisionNotExact(f"expected integer coefficients, got {value}")
-        return value
-    if all(isinstance(e, int) for e in exemplars):
-        return as_integer(value)
-    return value
 
 
 def _bell_sum(table, k: int) -> object:
@@ -82,11 +67,11 @@ def gamma_coefficients(coeffs, m: int, *, cross_check: bool = False) -> GammaVec
     hats = lucas_transform(cv, depth * m).terms
     x = tuple(math.factorial(i - 1) * hats[i * m] for i in range(1, depth + 1))
     table = bell_table(depth, x)
-    gamma = [_lower(_bell_sum(table, k), cv.c) for k in range(1, d)]
+    gamma = [lower_like(_bell_sum(table, k), cv.c) for k in range(1, d)]
     sign = (-1) ** ((d + 1) * (m + 1))
     last = sign * cv.c[-1] ** m
     if cross_check:
-        from_bell = _lower(_bell_sum(table, d), cv.c)
+        from_bell = lower_like(_bell_sum(table, d), cv.c)
         if from_bell != last:
             raise ArithmeticError(
                 f"trailing coefficient mismatch: Bell sum {from_bell}, sign formula {last}"
@@ -107,15 +92,3 @@ def subseq_recurrence(spec: RecurrenceSpec, m: int, r: int) -> RecurrenceSpec:
     d = spec.order
     base = seq_range(spec, 0, (d - 1) * m + r)
     return RecurrenceSpec(gv.coeffs, tuple(base[i * m + r] for i in range(d)))
-
-
-def hat_from_gamma(gamma, count: int) -> list:
-    """Reconstruct hat_{m}, hat_{2m}, ..., hat_{count*m} from subsequence coefficients.
-
-    The inverse direction of gamma_coefficients: the same Bell expansion that
-    defines the trace sequence, applied to g_1..g_d, returns the trace terms
-    of the base coefficients sampled at stride m.  Round-tripping is a strong
-    whole-pipeline check.
-    """
-    cv = gamma.coeffs if isinstance(gamma, GammaVector) else as_coeff_vector(gamma)
-    return lucas_transform_bell_prefix(cv, count)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .kernel import DomainError, Poly
 
@@ -84,20 +85,20 @@ class RecurrenceSpec:
         return self.coeffs.d
 
 
-def _extend(spec: RecurrenceSpec, terms: list, upto: int) -> list:
-    """Grow a term list in place until it holds a_0..a_upto."""
-    c = spec.coeffs.c
+def _extend(c: tuple, terms: list, upto: int) -> list:
+    """Grow a list holding at least len(c) terms in place by the recurrence c to index upto."""
     d = len(c)
+    rc = c[::-1]
     while len(terms) <= upto:
-        terms.append(sum(ci * ti for ci, ti in zip(c, reversed(terms[-d:]))))
+        terms.append(sum(map(mul, rc, terms[-d:])))
     return terms
+
 
 def seq_range(spec: RecurrenceSpec, n0: int, n1: int) -> list:
     """Terms a_{n0}..a_{n1} inclusive, by forward iteration."""
     if n0 < 0 or n1 < n0:
         raise DomainError(f"bad index range {n0}..{n1}")
-    terms = _extend(spec, list(spec.initial[: n1 + 1]), n1)
-    return terms[n0 : n1 + 1]
+    return _extend(spec.coeffs.c, list(spec.initial[: n1 + 1]), n1)[n0 : n1 + 1]
 
 
 # Forward iteration wins below this index; above it, one matrix power is cheaper.

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .kernel import DomainError, exact_div, ring_const, ring_exemplar
 from .progression import subseq_recurrence
-from .recurrence import RecurrenceSpec, as_coeff_vector, seq_range
+from .recurrence import RecurrenceSpec, _extend, as_coeff_vector, seq_range
 
 
 class DegenerateDivisor(ArithmeticError):
@@ -98,16 +98,16 @@ class InvertSumCheck:
 
 
 def invert_sequence(coeffs, upto: int) -> list:
-    """Terms y_0..y_upto of the inverse sequence (generating function 1/q)."""
+    """Terms y_0..y_upto of the inverse sequence (generating function 1/q).
+
+    y is the recurrence's own solution from y_{1-d} = ... = y_{-1} = 0, y_0 = 1.
+    """
     cv = as_coeff_vector(coeffs)
     if upto < 0:
         raise DomainError(f"invert_sequence needs upto >= 0, got {upto}")
-    c = cv.c
-    y = [ring_const(1, ring_exemplar(c))]
-    for j in range(1, upto + 1):
-        window = min(j, len(c))
-        y.append(sum(c[i - 1] * y[j - i] for i in range(1, window + 1)))
-    return y
+    d = cv.d
+    y = _extend(cv.c, [0] * (d - 1) + [ring_const(1, ring_exemplar(cv.c))], upto + d - 1)
+    return y[d - 1 :]
 
 
 def invert_partial_sum(coeffs, n: int) -> InvertSumCheck:

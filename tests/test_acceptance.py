@@ -14,7 +14,7 @@ from linrec.bell import bell_partial, bell_truncated3, set_partition_oracle
 from linrec.kernel import exact_div
 from linrec.lucas import k_lucas_number, lucas_transform, lucas_transform_bell_prefix
 from linrec.oracle import char_poly_of_power, companion, mat_mul, mat_pow, mat_trace, verify_recurrence
-from linrec.progression import gamma_coefficients, hat_from_gamma, subseq_recurrence
+from linrec.progression import gamma_coefficients, subseq_recurrence
 from linrec.recurrence import seq_range
 from linrec.sequences import catalog_get
 from linrec.sums import invert_partial_sum, lambda_decompose, partial_sum_closed, progression_sum
@@ -247,7 +247,7 @@ def test_c11_round_trip():
             coeffs = spec.coeffs.c
             for m in range(1, 7):
                 g = gamma_coefficients(coeffs, m).gamma
-                hats = hat_from_gamma(g, 8)
+                hats = lucas_transform_bell_prefix(g, 8)
                 base = lucas_transform(coeffs, 8 * m).terms
                 c.check(hats == [base[m * n] for n in range(1, 9)], f"spec {idx} m={m}")
 

@@ -42,6 +42,14 @@ class TestEval:
         assert code == 0
         assert out.strip() == "5/8"
 
+    def test_negative_lists(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "--coeffs", "-1,2", "--init", "0,1", "--n", "5")
+        assert code == 0
+        assert out == "11\n"
+        code, out, _ = run_cli(capsys, "eval", "--coeffs", "1,1", "--init", "-1/2,1", "--n", "2")
+        assert code == 0
+        assert out == "1/2\n"
+
     def test_catalog_family(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--catalog", "k_fibonacci(2)", "--n", "6")
         assert code == 0

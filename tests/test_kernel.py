@@ -78,6 +78,24 @@ class TestExactDiv:
         assert exact_div(-9, 3) == -3
         assert exact_div(9, -3) == -3
 
+    def test_constant_poly_divisor(self):
+        x = Poly.variable(0, 1)
+        assert exact_div(2 * x, Poly.const(2, 1)) == x
+        assert exact_div(12, Poly.const(3, 1)) == 4
+        assert isinstance(exact_div(12, Poly.const(3, 1)), int)
+        assert exact_div(1, Poly.const(Fraction(1, 2), 1)) == 2
+        with pytest.raises(DivisionNotExact):
+            exact_div(7, Poly.const(2, 1))
+        with pytest.raises(ZeroDivisionError):
+            exact_div(x, Poly.const(0, 1))
+
+    def test_nonconstant_poly_divisor(self):
+        x, y = Poly.variables(2)
+        with pytest.raises(DomainError):
+            exact_div(x * y, x)
+        with pytest.raises(DomainError):
+            exact_div(6, 1 - x - y)
+
 
 class TestLowering:
     def test_as_integer(self):
@@ -100,6 +118,18 @@ class TestLowering:
         assert lower_like(Fraction(6, 3), [1, 2]) == 2
         assert isinstance(lower_like(Fraction(6, 3), [1, 2]), int)
         assert lower_like(Fraction(1, 2), [Fraction(1, 3)]) == Fraction(1, 2)
+
+    def test_lower_like_poly(self):
+        x, y = Poly.variables(2)
+        half = Fraction(1, 2) * x
+        assert lower_like(x * y + 1, (x, y, 3)) == x * y + 1
+        # rational Poly coefficients pass only when some exemplar has them
+        assert lower_like(half, (half, y)) == half
+        assert lower_like(half, (x, Fraction(1, 3))) == half
+        with pytest.raises(DivisionNotExact):
+            lower_like(half, (x, y))
+        with pytest.raises(DivisionNotExact):
+            lower_like(half, (x, 2))
 
 
 def random_poly(rng: random.Random, nvars: int = 2, nterms: int = 3) -> Poly:
@@ -216,6 +246,12 @@ class TestPolyMisc:
     def test_hash_consistent(self):
         x, y = Poly.variables(2)
         assert hash(x * y + 1) == hash(1 + y * x)
+        # a Poly equal to a scalar hashes like it
+        for value in (0, 1, -3, Fraction(1, 2)):
+            assert Poly.const(value, 2) == value
+            assert hash(Poly.const(value, 2)) == hash(value)
+        assert len({Poly.const(1, 2), 1}) == 1
+        assert len({Poly.const(Fraction(1, 2), 3), Fraction(1, 2)}) == 1
 
     def test_has_integer_coefficients(self):
         x = Poly.variable(0, 1)

@@ -8,7 +8,6 @@ from linrec.lucas import (
     hat_closed_form,
     k_lucas_number,
     lucas_transform,
-    lucas_transform_bell,
     lucas_transform_bell_prefix,
     narayana_hat_number,
     perrin_number,
@@ -58,7 +57,7 @@ class TestGoldens:
         with pytest.raises(DomainError):
             lucas_transform((1, 1), -1)
         with pytest.raises(DomainError):
-            lucas_transform_bell((1, 1), 0)
+            lucas_transform_bell_prefix((1, 1), 0)
 
 
 class TestTwoRoutes:
@@ -73,7 +72,7 @@ class TestTwoRoutes:
     def test_single_entry_point(self):
         c = (2, -1, 3)
         for n in range(1, 10):
-            assert lucas_transform_bell(c, n) == lucas_transform(c, n).terms[n]
+            assert lucas_transform_bell_prefix(c, n)[-1] == lucas_transform(c, n).terms[n]
 
     def test_symbolic_routes_agree(self):
         for d in (1, 2, 3, 4):

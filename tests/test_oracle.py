@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from linrec import CoeffVector, DomainError, Poly, RecurrenceSpec
+from linrec import CoeffVector, DomainError, Poly, RecurrenceSpec, oracle
 from linrec.oracle import (
     UNDERDETERMINED,
     CharPoly,
@@ -19,6 +19,8 @@ from linrec.oracle import (
 )
 from linrec.recurrence import seq_range
 from support import random_spec
+
+FIB = RecurrenceSpec(CoeffVector((1, 1)), (0, 1))
 
 
 def det_oracle(mat):
@@ -76,6 +78,21 @@ class TestMatPow:
         for e in range(0, 7):
             assert mat_pow(mat, e) == acc
             acc = mat_mul(acc, mat)
+
+    def test_product_count(self, monkeypatch):
+        # one product per set bit and one squaring per bit below the top one
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(oracle, "mat_mul", counted)
+        q = [[1, 1], [1, 0]]
+        for e in range(1, 65):
+            calls.clear()
+            assert mat_pow(q, e)[0][1] == seq_range(FIB, e, e)[0]
+            assert len(calls) == e.bit_length() - 1 + bin(e).count("1")
 
 
 class TestCharPoly:
@@ -205,6 +222,11 @@ class TestFit:
 
     def test_zero_sequence(self):
         assert fit_recurrence([0] * 10, 2) is UNDERDETERMINED
+
+    def test_poly_terms_rejected(self):
+        spec = RecurrenceSpec(CoeffVector(Poly.variables(2)), (0, 1))
+        with pytest.raises(DomainError):
+            fit_recurrence(seq_range(spec, 0, 8), 2)
 
 
 class TestTraceLink:

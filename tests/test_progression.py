@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from linrec import CoeffVector, DomainError, Poly, RecurrenceSpec
-from linrec.lucas import k_lucas_number, lucas_transform
+from linrec.lucas import k_lucas_number, lucas_transform, lucas_transform_bell_prefix
 from linrec.oracle import char_poly_of_power, verify_recurrence
-from linrec.progression import gamma_coefficients, hat_from_gamma, subseq_recurrence
+from linrec.progression import gamma_coefficients, subseq_recurrence
 from linrec.recurrence import seq_range
 from support import random_spec
 
@@ -125,7 +125,7 @@ class TestHatRoundTrip:
     def test_golden(self):
         # step-2 slice of (1,1): its own trace terms are the even-index classics
         g = gamma_coefficients((1, 1), 2).gamma
-        assert hat_from_gamma(g, 4) == [3, 7, 18, 47]
+        assert lucas_transform_bell_prefix(g, 4) == [3, 7, 18, 47]
 
     def test_round_trip_random(self):
         rng = random.Random(45)
@@ -133,7 +133,7 @@ class TestHatRoundTrip:
             spec = random_spec(rng)
             m = rng.randint(1, 6)
             g = gamma_coefficients(spec.coeffs.c, m).gamma
-            hats = hat_from_gamma(g, 8)
+            hats = lucas_transform_bell_prefix(g, 8)
             base = lucas_transform(spec.coeffs.c, 8 * m).terms
             assert hats == [base[m * n] for n in range(1, 9)]
 

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from linrec import CoeffVector, DegenerateDivisor, DomainError, InvalidCoeffs, RecurrenceSpec
+from linrec import CoeffVector, DegenerateDivisor, DomainError, InvalidCoeffs, Poly, RecurrenceSpec
+from linrec.lucas import lucas_transform, lucas_transform_bell_prefix
+from linrec.oracle import companion, mat_pow
 from linrec.recurrence import seq_eval, seq_range
 from linrec.sums import (
     invert_partial_sum,
@@ -177,6 +179,56 @@ class TestLambdaBasis:
                 continue
             assert sum(lambda_decompose(spec)) == partial_sum_form(spec).constant
             checked += 1
+
+
+class TestWalkedHeads:
+    """The trace and 1/q sequences: a head of d terms, then the shared forward walk."""
+
+    C4 = {
+        "int": (2, -1, 3, 1),
+        "fraction": (Fraction(1, 2), -1, Fraction(2, 3), Fraction(-3, 4)),
+        "poly": Poly.variables(4),
+    }
+
+    @pytest.mark.parametrize("domain", sorted(C4))
+    def test_lengths_and_independent_routes(self, domain):
+        c = self.C4[domain]
+        mat = companion(c)
+        head = (1, 2, -1, 5)
+        lam = lambda_decompose(RecurrenceSpec(CoeffVector(c), head))
+        for upto in range(0, 6):
+            hats = lucas_transform(c, upto).terms
+            y = invert_sequence(c, upto)
+            assert len(hats) == upto + 1
+            assert len(y) == upto + 1
+            assert hats[0] == 4
+            if upto >= 1:
+                assert list(hats[1:]) == lucas_transform_bell_prefix(c, upto)
+            # a_n read off companion powers, rebuilt from y through lambda
+            for n in range(upto + 1):
+                a_n = sum(p * s for p, s in zip(mat_pow(mat, n)[-1], reversed(head)))
+                assert sum(lam[i] * y[n - i] for i in range(4) if n - i >= 0) == a_n
+
+    def test_classic_prefixes(self):
+        assert lucas_transform((1, 1, 1), 5).terms == (3, 1, 3, 7, 11, 21)
+        assert invert_sequence((1, 1), 4) == [1, 1, 2, 3, 5]
+
+    def test_extended_from_short_head(self):
+        short = lucas_transform((1, 1, 1), 0)
+        assert short.terms == (3,)
+        assert short.extended(5).terms == (3, 1, 3, 7, 11, 21)
+
+
+class TestSymbolicSums:
+    SPEC = RecurrenceSpec(CoeffVector(Poly.variables(2)), (0, 1))
+
+    def test_partial_sum_rejected(self):
+        with pytest.raises(DomainError):
+            partial_sum_closed(self.SPEC, 5)
+
+    def test_progression_sum_rejected(self):
+        with pytest.raises(DomainError):
+            progression_sum(self.SPEC, 2, 1, 4)
 
 
 class TestProgressionSum:
