@@ -17,7 +17,7 @@ from .kernel import (
     value_from_json,
     value_to_json,
 )
-from .recurrence import CoeffVector, InvalidCoeffs, RecurrenceSpec, seq_eval, seq_range
+from .recurrence import CoeffVector, InvalidCoeffs, RecurrenceSpec, seq_eval, seq_range, seq_window
 from .bell import SizeLimit, bell_partial, bell_table, bell_truncated3, set_partition_oracle
 from .lucas import (
     LucasTransform,
@@ -113,6 +113,7 @@ __all__ = [
     "scalar_to_str",
     "seq_eval",
     "seq_range",
+    "seq_window",
     "set_partition_oracle",
     "subseq_recurrence",
     "tribonacci_hat_number",

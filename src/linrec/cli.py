@@ -25,7 +25,7 @@ from .kernel import (
 from .lucas import UnknownFamily, lucas_transform
 from .oracle import UNDERDETERMINED, NoSolution, char_poly_of_power, fit_recurrence, verify_recurrence
 from .progression import gamma_coefficients, subseq_recurrence
-from .recurrence import CoeffVector, InvalidCoeffs, RecurrenceSpec, seq_eval, seq_range
+from .recurrence import CoeffVector, InvalidCoeffs, RecurrenceSpec, _stride_terms, seq_eval, seq_range
 from .sequences import UnknownName, catalog_get, catalog_names
 from .sums import DegenerateDivisor, partial_sum_closed, partial_sum_form
 
@@ -215,8 +215,7 @@ def _verify_one(name: str, spec: RecurrenceSpec, m: int, r: int, depth: int) -> 
     oracle_coeffs = char_poly_of_power(spec.coeffs, m)
     charpoly_agree = gv.coeffs == oracle_coeffs
     d = spec.order
-    base = seq_range(spec, 0, m * (depth - 1) + r)
-    sub_terms = [base[m * i + r] for i in range(depth)]
+    sub_terms = _stride_terms(spec.coeffs.c, spec.initial, m, r, depth)
     violations = verify_recurrence(sub_terms, gv.coeffs) if depth > d else []
     if depth >= 2 * d:
         try:

@@ -23,7 +23,7 @@ import math
 from .bell import bell_table
 from .kernel import DomainError, lower_like
 from .lucas import lucas_transform
-from .recurrence import CoeffVector, RecurrenceSpec, as_coeff_vector, seq_range
+from .recurrence import CoeffVector, RecurrenceSpec, _stride_terms, as_coeff_vector
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,16 @@ def gamma_coefficients(coeffs, m: int, *, cross_check: bool = False) -> GammaVec
     Only trace terms hat_m..hat_{(d-1)m} are needed: the trailing coefficient
     comes from the closed sign formula instead of the k = d Bell sum.  With
     cross_check=True that Bell sum is evaluated anyway (it needs hat_{dm})
-    and asserted equal.
+    and asserted equal.  The trace sequence obeys the recurrence itself, so
+    those terms are jumped to from its Newton head hat_0..hat_{d-1}.
     """
     cv = as_coeff_vector(coeffs)
     if m < 1:
         raise DomainError(f"stride m must be >= 1, got {m}")
     d = cv.d
     depth = d if cross_check else d - 1
-    hats = lucas_transform(cv, depth * m).terms
-    x = tuple(math.factorial(i - 1) * hats[i * m] for i in range(1, depth + 1))
+    hats = _stride_terms(cv.c, lucas_transform(cv, d - 1).terms, m, m, depth)
+    x = tuple(math.factorial(i) * hat for i, hat in enumerate(hats))
     table = bell_table(depth, x)
     gamma = [lower_like(_bell_sum(table, k), cv.c) for k in range(1, d)]
     sign = (-1) ** ((d + 1) * (m + 1))
@@ -83,12 +84,11 @@ def gamma_coefficients(coeffs, m: int, *, cross_check: bool = False) -> GammaVec
 def subseq_recurrence(spec: RecurrenceSpec, m: int, r: int) -> RecurrenceSpec:
     """The recurrence b_n = a_{mn+r} satisfies, with its initial terms.
 
-    The coefficient vector does not depend on r; the initial terms are read
-    straight off the base sequence.  The relation holds for n >= d.
+    The coefficient vector does not depend on r; the initial terms
+    a_r, a_{m+r}, ..., a_{(d-1)m+r} are jumped to.  The relation holds for n >= d.
     """
     if r < 0:
         raise DomainError(f"offset r must be >= 0, got {r}")
     gv = gamma_coefficients(spec.coeffs, m)
-    d = spec.order
-    base = seq_range(spec, 0, (d - 1) * m + r)
-    return RecurrenceSpec(gv.coeffs, tuple(base[i * m + r] for i in range(d)))
+    initial = _stride_terms(spec.coeffs.c, spec.initial, m, r, spec.order)
+    return RecurrenceSpec(gv.coeffs, tuple(initial))

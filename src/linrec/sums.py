@@ -74,9 +74,7 @@ def partial_sum_closed(spec: RecurrenceSpec, n: int):
     if n < 0:
         raise DomainError(f"partial sums need n >= 0, got {n}")
     form = partial_sum_form(spec)
-    d = spec.order
-    terms = seq_range(spec, 0, n + d)
-    return form.evaluate(terms[n + 1 : n + d + 1])
+    return form.evaluate(seq_range(spec, n + 1, n + spec.order))
 
 
 @dataclass(frozen=True)

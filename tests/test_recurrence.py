@@ -1,0 +1,150 @@
+"""The jump-ahead term engine (x^n mod q) against the forward walk and companion-matrix powers."""
+
+import functools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from linrec import CoeffVector, DomainError, Poly, RecurrenceSpec, cli, lucas, progression, recurrence, sums
+from linrec.bell import bell_table
+from linrec.lucas import lucas_transform
+from linrec.oracle import char_poly_of_power, companion, mat_pow
+from linrec.progression import gamma_coefficients, subseq_recurrence
+from linrec.recurrence import _JUMP_CUTOFF, _stride_terms, seq_eval, seq_range, seq_window
+from linrec.sums import partial_sum_closed, progression_sum
+from support import random_spec
+
+C1, C2 = Poly.variables(2)
+SPECS = {
+    "int-d1": RecurrenceSpec(CoeffVector((-3,)), (2,)),
+    "int-d3": RecurrenceSpec(CoeffVector((2, -1, 3)), (1, -2, 5)),
+    "int-d5": RecurrenceSpec(CoeffVector((1, 0, -2, 0, 1)), (0, 1, 0, 0, 2)),
+    "fraction-d1": RecurrenceSpec(CoeffVector((Fraction(-3, 2),)), (Fraction(1, 3),)),
+    "fraction-d3": RecurrenceSpec(CoeffVector((Fraction(1, 2), -1, Fraction(2, 3))), (1, Fraction(-1, 2), 3)),
+    "poly-d1": RecurrenceSpec(CoeffVector(Poly.variables(1)), (1,)),
+    "poly-d2": RecurrenceSpec(CoeffVector((C1, C2)), (0, 1)),
+}
+TRIB = RecurrenceSpec(CoeffVector((1, 1, 1)), (0, 0, 1))
+
+
+def by_matrix(spec, n):
+    """a_n read off the last row of the n-th companion power."""
+    row = mat_pow(companion(spec.coeffs), n)[-1]
+    return sum(p * s for p, s in zip(row, reversed(spec.initial)))
+
+
+def indices(name):
+    """Indices on both sides of the walk/jump cutoff, and far past it for scalars (Poly terms grow fast)."""
+    near = [_JUMP_CUTOFF - 1, _JUMP_CUTOFF, _JUMP_CUTOFF + 1]
+    return near[:2] if name.startswith("poly") else near + [997, 1000, 1024]
+
+
+@functools.cache
+def walk(name):
+    """The named spec's terms from a_0 by the forward walk, past every index tested."""
+    return seq_range(SPECS[name], 0, _JUMP_CUTOFF + 8 if name.startswith("poly") else 1030)
+
+
+# (m, r, count): unit and wide strides, walked (last index < cutoff) and jumped
+STRIDES = [(1, 250, 9), (3, 250, 3), (7, 200, 9), (1, 260, 1), (250, 6, 2), (40, 3, 5)]
+FAR_STRIDES = [(3, 0, 90), (300, 5, 2), (1, 500, 3), (111, 400, 3)]
+
+
+class TestJumpWalkMatrix:
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_window_and_eval(self, name):
+        spec = SPECS[name]
+        terms = walk(name)
+        for n in indices(name):
+            assert seq_window(spec, n, 4) == terms[n : n + 4]
+            assert seq_eval(spec, n) == terms[n] == by_matrix(spec, n)
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_strides(self, name):
+        spec = SPECS[name]
+        c, head = spec.coeffs.c, spec.initial
+        terms = walk(name)
+        for m, r, count in STRIDES if name.startswith("poly") else STRIDES + FAR_STRIDES:
+            assert _stride_terms(c, head, m, r, count) == terms[r : r + count * m : m]
+
+    def test_random_specs_far_out(self):
+        rng = random.Random(71)
+        for _ in range(15):
+            spec = random_spec(rng, max_d=6)
+            walk = seq_range(spec, 0, 1200)
+            for n in (0, spec.order - 1, 255, 256, 257, 999, 1200):
+                assert seq_eval(spec, n) == walk[n]
+
+    def test_short_windows(self):
+        assert seq_window(TRIB, 0, 0) == []
+        assert seq_window(TRIB, 5, 3) == [4, 7, 13]
+        assert seq_range(TRIB, 2000, 2002) == seq_window(TRIB, 2000, 3)
+        assert seq_range(TRIB, 2000, 2010)[-1] == seq_eval(TRIB, 2010)
+        for bad in ((-1, 2), (3, -1)):
+            with pytest.raises(DomainError):
+                seq_window(TRIB, *bad)
+
+
+class TestFarSlices:
+    def test_subseq_initial_terms_far_offset(self):
+        rng = random.Random(72)
+        for _ in range(10):
+            spec = random_spec(rng, max_d=5)
+            m, r = rng.randint(1, 6), rng.randint(400, 700)
+            walk = seq_range(spec, 0, r + m * spec.order)
+            sub = subseq_recurrence(spec, m, r)
+            assert sub.initial == tuple(walk[r + m * i] for i in range(spec.order))
+
+    @pytest.mark.parametrize("cross_check", [False, True])
+    def test_gamma_hats_across_cutoff(self, monkeypatch, cross_check):
+        seen = []
+
+        def spy(upto, x):
+            seen.append(x)
+            return bell_table(upto, x)
+
+        monkeypatch.setattr(progression, "bell_table", spy)
+        for c in ((1, 1, 1), (2, -1, 3), (1, 0, 1, -1)):
+            depth = len(c) if cross_check else len(c) - 1
+            for m in range(_JUMP_CUTOFF // depth - 1, _JUMP_CUTOFF // depth + 2):
+                seen.clear()
+                gv = gamma_coefficients(c, m, cross_check=cross_check)
+                hats = lucas_transform(c, depth * m).terms
+                assert seen == [tuple(math.factorial(i - 1) * hats[i * m] for i in range(1, depth + 1))]
+                assert gv.coeffs == char_poly_of_power(c, m)
+
+
+class TestClosedFormsDoNotWalk:
+    """A closed form must not walk to a far index: counted by refusing long walks."""
+
+    @pytest.fixture
+    def no_long_walks(self, monkeypatch):
+        real = recurrence._extend
+
+        def guarded(c, terms, upto):
+            if upto >= _JUMP_CUTOFF:
+                raise AssertionError(f"walked to index {upto}")
+            return real(c, terms, upto)
+
+        for module in (recurrence, lucas, sums):
+            monkeypatch.setattr(module, "_extend", guarded)
+
+    def test_far_calls(self, no_long_walks):
+        n = 10**5
+        # sum_{j<=n} T_j = (T_{n+2} + T_n - 1) / 2 for this tribonacci start
+        assert partial_sum_closed(TRIB, n) == (seq_eval(TRIB, n + 2) + seq_eval(TRIB, n) - 1) // 2
+        assert progression_sum(TRIB, 1000, 7, 100) == partial_sum_closed(subseq_recurrence(TRIB, 1000, 7), 100)
+        sub = subseq_recurrence(TRIB, n, 3)
+        assert sub.initial == tuple(seq_eval(TRIB, n * i + 3) for i in range(3))
+        assert gamma_coefficients((1, 1, 1), n).gamma[-1] == 1
+
+    def test_guard_bites(self, no_long_walks):
+        with pytest.raises(AssertionError):
+            seq_range(TRIB, 0, _JUMP_CUTOFF)
+
+    def test_verify(self, no_long_walks, capsys):
+        argv = ["verify", "--catalog", "tribonacci", "--m", "5000", "--depth", "8"]
+        assert cli.main(argv) == 0
+        assert "result\tPASS" in capsys.readouterr().out

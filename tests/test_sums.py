@@ -34,6 +34,13 @@ class TestSpecValidation:
         with pytest.raises(InvalidCoeffs):
             CoeffVector((1.5, 1))
 
+    def test_bool_rejected(self):
+        # bool is an int subclass, but True is no coefficient
+        with pytest.raises(InvalidCoeffs):
+            CoeffVector((True,))
+        with pytest.raises(InvalidCoeffs):
+            RecurrenceSpec(CoeffVector((1, 1)), (True, False))
+
     def test_initial_length_mismatch(self):
         with pytest.raises(InvalidCoeffs):
             RecurrenceSpec(CoeffVector((1, 1)), (0, 1, 1))
@@ -62,8 +69,8 @@ class TestSeqEval:
                 assert seq_eval(spec, n) == terms[n]
 
     def test_eval_matrix_route_large(self):
-        # F_1000 ends in ...849228875 and the two routes agree
-        direct = seq_range(FIB, 1000, 1000)[0]
+        # F_1000 ends in ...849228875; the jump agrees with the walk from a_0
+        direct = seq_range(FIB, 0, 1000)[-1]
         assert seq_eval(FIB, 1000) == direct
         assert direct % 10**9 == 849228875
 
