@@ -4,7 +4,8 @@ Three coefficient domains are supported, all exact:
 
   * ``int``            -- arbitrary-precision integers (the default domain)
   * ``Fraction``       -- exact rationals (stdlib ``fractions.Fraction``)
-  * :class:`Poly`      -- sparse multivariate polynomials over Fraction
+  * :class:`Poly`      -- sparse multivariate polynomials with integer
+                          coefficients, a Fraction only where a term needs one
 
 All three support ``+``, ``-``, ``*``, unary ``-`` and ``**`` with nonnegative
 integer exponents, so the higher-level algorithms are written once against
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 import math
+from operator import add
 
 
 class DivisionNotExact(ArithmeticError):
@@ -129,35 +131,42 @@ def lower_like(value, exemplars):
 
 
 class Poly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with integer coefficients where it can.
 
     Terms are stored as a dict mapping exponent tuples (one entry per
-    variable) to nonzero Fraction coefficients; the zero polynomial is the
-    empty dict.  Instances are treated as immutable: every operation returns
-    a fresh Poly.  Serialization and printing walk the terms in graded
-    lexicographic order, largest first, so output is deterministic.
+    variable) to nonzero coefficients in one canonical form: an ``int``, or a
+    ``Fraction`` only when its denominator is not 1.  The zero polynomial is
+    the empty dict.  The public constructor validates and canonicalises its
+    input; the ring operations build their results through the trusted
+    :meth:`_make`, which checks nothing.  Instances are treated as immutable:
+    every operation returns a fresh Poly.  Serialization and printing walk
+    the terms in graded lexicographic order, largest first, so output is
+    deterministic.
     """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=()):
-        if nvars < 1:
-            raise ValueError("Poly needs at least one variable")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        _check_nvars(nvars)
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for exps, coeff in items:
             exps = tuple(exps)
-            if len(exps) != nvars or any(e < 0 or not isinstance(e, int) for e in exps):
-                raise ValueError(f"bad exponent vector {exps!r} for nvars={nvars}")
-            coeff = Fraction(coeff)
-            if coeff:
-                coeff = clean.get(exps, Fraction(0)) + coeff
-                if coeff:
-                    clean[exps] = coeff
-                else:
-                    del clean[exps]
+            if len(exps) != nvars or not all(
+                isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exps
+            ):
+                raise DomainError(f"bad exponent vector {exps!r} for nvars={nvars}")
+            clean[exps] = clean.get(exps, 0) + _coefficient(coeff)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _settle(clean))
+
+    @staticmethod
+    def _make(nvars: int, terms: dict) -> "Poly":
+        """Trusted constructor: ``terms`` is already canonical and owned by the result."""
+        p = _new(Poly)
+        _set_nvars(p, nvars)
+        _set_terms(p, terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -166,14 +175,16 @@ class Poly:
 
     @classmethod
     def const(cls, value, nvars: int) -> "Poly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)} if value else {})
+        _check_nvars(nvars)
+        value = _coefficient(value)
+        return cls._make(nvars, {(0,) * nvars: value} if value else {})
 
     @classmethod
     def variable(cls, i: int, nvars: int) -> "Poly":
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range for nvars={nvars}")
         exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
+        return cls(nvars, {exps: 1})
 
     @classmethod
     def variables(cls, nvars: int) -> tuple["Poly", ...]:
@@ -190,14 +201,14 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         """The coefficient of the constant term (0 if absent)."""
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return self.terms.get((0,) * self.nvars, 0)
 
     def has_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
+        return not any(isinstance(c, Fraction) for c in self.terms.values())
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         """Terms in graded-lex order, highest first."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
@@ -216,19 +227,24 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.terms:
+            return self
         terms = dict(self.terms)
+        get = terms.get
         for exps, c in other.terms.items():
-            s = terms.get(exps, Fraction(0)) + c
-            if s:
-                terms[exps] = s
+            s = get(exps, 0) + c
+            if not s:
+                del terms[exps]
+            elif type(s) is not int and s.denominator == 1:
+                terms[exps] = s.numerator
             else:
-                terms.pop(exps, None)
-        return Poly(self.nvars, terms)
+                terms[exps] = s
+        return Poly._make(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -244,23 +260,21 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _coefficient(other)
             if not c:
-                return Poly(self.nvars)
-            return Poly(self.nvars, {e: k * c for e, k in self.terms.items()})
+                return Poly._make(self.nvars, {})
+            return Poly._make(self.nvars, _settle({e: k * c for e, k in self.terms.items()}))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], int | Fraction] = {}
+        get = terms.get
+        right = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
-        return Poly(self.nvars, terms)
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                terms[e] = get(e, 0) + c1 * c2
+        return Poly._make(self.nvars, _settle(terms))
 
     __rmul__ = __mul__
 
@@ -272,8 +286,9 @@ class Poly:
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -298,20 +313,21 @@ class Poly:
     def __call__(self, values):
         """Substitute exact values for the variables.
 
-        Returns an int when the result is integral, a Fraction otherwise.
-        The substitution is a ring homomorphism.
+        Values must be ints or Fractions.  Returns an int when the result is
+        integral, a Fraction otherwise.  The substitution is a ring
+        homomorphism.
         """
-        values = tuple(values)
+        values = tuple(map(_coefficient, values))
         if len(values) != self.nvars:
             raise ValueError(f"expected {self.nvars} values, got {len(values)}")
-        total = Fraction(0)
+        total = 0
         for exps, coeff in self.terms.items():
             term = coeff
             for v, e in zip(values, exps):
                 if e:
-                    term *= Fraction(v) ** e
+                    term *= v**e
             total += term
-        return total.numerator if total.denominator == 1 else total
+        return _coefficient(total)
 
     def _monomial_str(self, exps) -> str:
         parts = []
@@ -341,6 +357,40 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.nvars}, {self.terms!r})"
+
+
+_new = object.__new__
+_set_nvars = Poly.nvars.__set__
+_set_terms = Poly.terms.__set__
+
+
+def _check_nvars(nvars) -> None:
+    if not isinstance(nvars, int) or isinstance(nvars, bool) or nvars < 1:
+        raise DomainError(f"Poly needs at least one variable, got nvars={nvars!r}")
+
+
+def _coefficient(value) -> int | Fraction:
+    """An exact scalar in canonical form: an int, or a Fraction that is not whole."""
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    raise DomainError(f"Poly takes int or Fraction values, got {value!r}")
+
+
+def _settle(terms: dict) -> dict:
+    """Canonicalise a fresh term dict in place: drop zeros, lower whole Fractions to int."""
+    zeros = []
+    for exps, c in terms.items():
+        if not c:
+            zeros.append(exps)
+        elif type(c) is not int and c.denominator == 1:
+            terms[exps] = c.numerator
+    for exps in zeros:
+        del terms[exps]
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +435,5 @@ def value_from_json(payload) -> RingElement:
     """Inverse of value_to_json."""
     if isinstance(payload, str):
         return scalar_from_str(payload)
-    terms = [
-        (tuple(rec["exponents"]), Fraction(scalar_from_str(rec["coefficient"])))
-        for rec in payload["terms"]
-    ]
+    terms = [(rec["exponents"], scalar_from_str(rec["coefficient"])) for rec in payload["terms"]]
     return Poly(payload["nvars"], terms)

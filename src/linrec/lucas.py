@@ -21,7 +21,7 @@ from fractions import Fraction
 import math
 
 from .bell import bell_table
-from .kernel import DomainError, as_integer, lower_like, ring_const, ring_exemplar
+from .kernel import DomainError, as_integer, exact_div, lower_like, ring_const, ring_exemplar
 from .recurrence import CoeffVector, _extend, as_coeff_vector
 
 
@@ -78,8 +78,8 @@ def lucas_transform_bell_prefix(coeffs, upto: int) -> list:
     for n in range(1, upto + 1):
         total = 0
         for k in range(1, n + 1):
-            total = total + Fraction(math.factorial(k - 1), math.factorial(n - 1)) * table[n][k]
-        out.append(lower_like(total, cv.c))
+            total = total + math.factorial(k - 1) * table[n][k]
+        out.append(lower_like(exact_div(total, math.factorial(n - 1)), cv.c))
     return out
 
 

@@ -17,11 +17,10 @@ assertion, never by rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 import math
 
 from .bell import bell_table
-from .kernel import DomainError, lower_like
+from .kernel import DomainError, exact_div, lower_like
 from .lucas import lucas_transform
 from .recurrence import CoeffVector, RecurrenceSpec, _stride_terms, as_coeff_vector
 
@@ -43,12 +42,15 @@ class GammaVector:
 
 
 def _bell_sum(table, k: int) -> object:
-    """sum_{j=1..k} ((-1)^{j+1} / k!) * B_{k,j} from a prepared Bell table."""
+    """sum_{j=1..k} ((-1)^{j+1} / k!) * B_{k,j} from a prepared Bell table.
+
+    The signed entries are summed first and divided by k! once, so integer
+    data stays integer until that one exact division.
+    """
     total = 0
-    kfact = math.factorial(k)
     for j in range(1, k + 1):
-        total = total + Fraction((-1) ** (j + 1), kfact) * table[k][j]
-    return total
+        total = total + table[k][j] if j % 2 else total - table[k][j]
+    return exact_div(total, math.factorial(k))
 
 
 def gamma_coefficients(coeffs, m: int, *, cross_check: bool = False) -> GammaVector:

@@ -101,6 +101,28 @@ class TestGamma:
         got = tuple(value_from_json(v) for v in blob["gamma"])
         assert got == gamma_coefficients(tuple(Poly.variables(3)), 2).gamma
 
+    def test_symbolic_golden_stdout(self, capsys):
+        # byte-for-byte output of the Fraction-coefficient Poly kernel
+        code, out, _ = run_cli(capsys, "gamma", "--symbolic", "--d", "3", "--m", "4")
+        assert code == 0
+        assert out == (
+            "1\tc1^4 + 4*c1^2*c2 + 4*c1*c3 + 2*c2^2\n"
+            "2\t-2*c1^2*c3^2 + 4*c1*c2^2*c3 - c2^4 + 4*c2*c3^2\n"
+            "3\tc3^4\n"
+        )
+        code, out, _ = run_cli(capsys, "gamma", "--symbolic", "--d", "3", "--m", "4", "--json")
+        assert code == 0
+        assert out == (
+            '{"command": "gamma", "m": 4, "d": 3, "gamma": ['
+            '{"nvars": 3, "terms": [{"exponents": [4, 0, 0], "coefficient": "1"}, '
+            '{"exponents": [2, 1, 0], "coefficient": "4"}, {"exponents": [1, 0, 1], "coefficient": "4"}, '
+            '{"exponents": [0, 2, 0], "coefficient": "2"}]}, '
+            '{"nvars": 3, "terms": [{"exponents": [2, 0, 2], "coefficient": "-2"}, '
+            '{"exponents": [1, 2, 1], "coefficient": "4"}, {"exponents": [0, 4, 0], "coefficient": "-1"}, '
+            '{"exponents": [0, 1, 2], "coefficient": "4"}]}, '
+            '{"nvars": 3, "terms": [{"exponents": [0, 0, 4], "coefficient": "1"}]}]}\n'
+        )
+
 
 class TestSums:
     def test_sum(self, capsys):

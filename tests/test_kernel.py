@@ -270,3 +270,152 @@ class TestPolyMisc:
         assert (x**2 * y + y).total_degree() == 3
         # zero polynomial has degree -1 by convention
         assert Poly.const(0, 2).total_degree() == -1
+
+
+class TestPolyInput:
+    def test_inexact_coefficients_rejected(self):
+        for bad in (0.1, "1/3", True, None):
+            with pytest.raises(DomainError):
+                Poly(1, {(1,): bad})
+            with pytest.raises(DomainError):
+                Poly.const(bad, 2)
+
+    def test_bool_exponent_rejected(self):
+        with pytest.raises(DomainError):
+            Poly(1, {(True,): 1})
+        with pytest.raises(DomainError):
+            Poly(2, [((0, False), 1)])
+
+    def test_inexact_evaluation_point_rejected(self):
+        x = Poly.variable(0, 1)
+        for bad in (0.5, "2", True):
+            with pytest.raises(DomainError):
+                x((bad,))
+
+    def test_input_is_canonicalised(self):
+        p = Poly(2, [((1, 0), Fraction(4, 2)), ((0, 1), Fraction(1, 2)), ((0, 1), Fraction(1, 2)), ((0, 0), 0)])
+        assert p.terms == {(1, 0): 2, (0, 1): 1}
+        assert all(type(c) is int for c in p.terms.values())
+        assert type(Poly.const(Fraction(6, 3), 1).constant_value()) is int
+
+
+def _reference(pairs) -> dict:
+    """The dict-of-Fraction model of a polynomial: exponents -> nonzero Fraction."""
+    out: dict = {}
+    for exps, c in pairs:
+        out[exps] = out.get(exps, Fraction(0)) + Fraction(c)
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    return _reference(
+        (tuple(x + y for x, y in zip(e1, e2)), c1 * c2) for e1, c1 in a.items() for e2, c2 in b.items()
+    )
+
+
+def _is_canonical(p: Poly) -> bool:
+    return all(
+        (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator != 1)
+        for c in p.terms.values()
+    )
+
+
+class TestPolyCanonicalForm:
+    """Random sparse Polys against a dict-of-Fraction model; needs hypothesis."""
+
+    @staticmethod
+    def _strategies():
+        st = pytest.importorskip("hypothesis.strategies")
+        scalars = st.one_of(st.integers(-6, 6), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+        @st.composite
+        def term_lists(draw, nvars):
+            exps = st.tuples(*[st.integers(0, 3)] * nvars)
+            return draw(st.lists(st.tuples(exps, scalars), max_size=6))
+
+        @st.composite
+        def cases(draw):
+            nvars = draw(st.integers(1, 3))
+            return nvars, draw(term_lists(nvars)), draw(term_lists(nvars))
+
+        return st, scalars, cases()
+
+    def test_ring_operations_match_the_model(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st, scalars, cases = self._strategies()
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(cases, scalars, st.integers(0, 3), st.integers(-5, 5).filter(bool))
+        def check(case, s, k, n):
+            nvars, ta, tb = case
+            a, b = Poly(nvars, ta), Poly(nvars, tb)
+            ra, rb = _reference(ta), _reference(tb)
+            power = _reference([((0,) * nvars, 1)])
+            for _ in range(k):
+                power = _ref_mul(power, ra)
+            results = [
+                (a, ra),
+                (a + b, _reference(list(ra.items()) + list(rb.items()))),
+                (a - b, _reference(list(ra.items()) + [(e, -c) for e, c in rb.items()])),
+                (-a, {e: -c for e, c in ra.items()}),
+                (a * b, _ref_mul(ra, rb)),
+                (a**k, power),
+                (s * a, _reference((e, s * c) for e, c in ra.items())),
+                (a * s, _reference((e, s * c) for e, c in ra.items())),
+                (a + s, _reference(list(ra.items()) + [((0,) * nvars, s)])),
+                (s - a, _reference([((0,) * nvars, s)] + [(e, -c) for e, c in ra.items()])),
+                (exact_div(a, n), {e: c / n for e, c in ra.items()}),
+            ]
+            for got, want in results:
+                assert isinstance(got, Poly) and got.nvars == nvars
+                assert _is_canonical(got)
+                assert {e: Fraction(c) for e, c in got.terms.items()} == want
+
+        check()
+
+    def test_equal_values_hash_equal(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st, scalars, cases = self._strategies()
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(cases, scalars)
+        def check(case, s):
+            nvars, ta, _ = case
+            a = Poly(nvars, ta)
+            # the same value built another way: reversed, with Fraction-typed coefficients
+            b = Poly(nvars, [(e, Fraction(c)) for e, c in reversed(ta)])
+            assert a == b and hash(a) == hash(b)
+            # a scalar-valued Poly equals and hashes like its scalar, int or Fraction
+            for value in (s, Fraction(s)):
+                scalar = a - a + Poly.const(value, nvars)
+                assert scalar == value and hash(scalar) == hash(value)
+                assert scalar == Poly.const(value, nvars) and hash(scalar) == hash(Poly.const(value, nvars))
+
+        check()
+
+
+def test_library_ring_operations_never_revalidate(monkeypatch):
+    from linrec import CoeffVector, RecurrenceSpec
+    from linrec.oracle import char_poly_of_power
+    from linrec.progression import gamma_coefficients
+    from linrec.recurrence import seq_range
+
+    v3, v4 = Poly.variables(3), Poly.variables(4)
+    spec = RecurrenceSpec(CoeffVector(v3), (1, 2, 3))
+
+    def calls():
+        return (
+            gamma_coefficients(v4, 3, cross_check=True).gamma,
+            char_poly_of_power(v3, 4).c,
+            seq_range(spec, 0, 16),
+        )
+
+    want = calls()
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("Poly.__init__ ran inside a library ring operation")
+
+    monkeypatch.setattr(Poly, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        Poly(1, {(1,): 1})
+    assert calls() == want

@@ -1,9 +1,12 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from linrec import CoeffVector, DomainError, Poly, RecurrenceSpec
+from linrec.kernel import value_to_json
 from linrec.lucas import k_lucas_number, lucas_transform, lucas_transform_bell_prefix
 from linrec.oracle import char_poly_of_power, verify_recurrence
 from linrec.progression import gamma_coefficients, subseq_recurrence
@@ -70,6 +73,14 @@ class TestGammaGoldens:
         g = gamma_coefficients(c, 2, cross_check=True).gamma
         # trailing coefficient is c_d^m with the order-2 even-step sign
         assert g[-1] == -Fraction(9, 16)
+
+    def test_mixed_int_and_fraction_coefficients(self):
+        # integer leading coefficients keep some Bell entries int-typed
+        for c in [(1, 1, Fraction(1, 2)), (2, Fraction(-1, 3)), (1, 0, 3, Fraction(5, 2))]:
+            for m in range(1, 7):
+                g = gamma_coefficients(c, m, cross_check=True).gamma
+                assert g == char_poly_of_power(c, m).c
+            assert lucas_transform_bell_prefix(c, 8) == list(lucas_transform(c, 8).terms[1:])
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -152,3 +163,35 @@ class TestSymbolic:
         c1, c2, c3 = Poly.variables(3)
         g = gamma_coefficients((c1, c2, c3), 2).gamma
         assert g == (c1**2 + 2 * c2, 2 * c1 * c3 - c2**2, c3**2)
+
+    def test_golden_json(self):
+        # recorded from the Fraction-coefficient Poly kernel
+        got = [value_to_json(g) for g in gamma_coefficients(Poly.variables(3), 4, cross_check=True).gamma]
+        assert json.dumps(got) == (
+            '[{"nvars": 3, "terms": [{"exponents": [4, 0, 0], "coefficient": "1"}, '
+            '{"exponents": [2, 1, 0], "coefficient": "4"}, {"exponents": [1, 0, 1], "coefficient": "4"}, '
+            '{"exponents": [0, 2, 0], "coefficient": "2"}]}, '
+            '{"nvars": 3, "terms": [{"exponents": [2, 0, 2], "coefficient": "-2"}, '
+            '{"exponents": [1, 2, 1], "coefficient": "4"}, {"exponents": [0, 4, 0], "coefficient": "-1"}, '
+            '{"exponents": [0, 1, 2], "coefficient": "4"}]}, '
+            '{"nvars": 3, "terms": [{"exponents": [0, 0, 4], "coefficient": "1"}]}]'
+        )
+
+    def test_grid_is_integer_and_unchanged(self):
+        # the benchmark's symbolic grid: d <= 3, m <= 6, and seq_range to 16
+        results = []
+        for d in range(1, 4):
+            c = Poly.variables(d)
+            for m in range(1, 7):
+                results.append(gamma_coefficients(c, m, cross_check=True).gamma)
+                results.append(char_poly_of_power(c, m).c)
+            results.append(seq_range(RecurrenceSpec(CoeffVector(c), tuple(range(1, d + 1))), 0, 16))
+        for values in results:
+            for p in values:
+                # seq_range hands back its int initial terms as they are
+                assert all(type(k) is int for k in (p.terms.values() if isinstance(p, Poly) else [p]))
+        blob = json.dumps([[value_to_json(p) for p in values] for values in results])
+        # sha256 of the same JSON from the Fraction-coefficient Poly kernel
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "71bcfc63750ac25d906b485d9275c29d117cc1ce5298fe639408435b2e701d49"
+        )
