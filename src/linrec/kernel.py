@@ -163,9 +163,9 @@ class Poly:
     @staticmethod
     def _make(nvars: int, terms: dict) -> "Poly":
         """Trusted constructor: ``terms`` is already canonical and owned by the result."""
-        p = _new(Poly)
-        _set_nvars(p, nvars)
-        _set_terms(p, terms)
+        p = object.__new__(Poly)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", terms)
         return p
 
     def __setattr__(self, name, value):
@@ -232,14 +232,8 @@ class Poly:
         terms = dict(self.terms)
         get = terms.get
         for exps, c in other.terms.items():
-            s = get(exps, 0) + c
-            if not s:
-                del terms[exps]
-            elif type(s) is not int and s.denominator == 1:
-                terms[exps] = s.numerator
-            else:
-                terms[exps] = s
-        return Poly._make(self.nvars, terms)
+            terms[exps] = get(exps, 0) + c
+        return Poly._make(self.nvars, _settle(terms, other.terms))
 
     __radd__ = __add__
 
@@ -359,11 +353,6 @@ class Poly:
         return f"Poly({self.nvars}, {self.terms!r})"
 
 
-_new = object.__new__
-_set_nvars = Poly.nvars.__set__
-_set_terms = Poly.terms.__set__
-
-
 def _check_nvars(nvars) -> None:
     if not isinstance(nvars, int) or isinstance(nvars, bool) or nvars < 1:
         raise DomainError(f"Poly needs at least one variable, got nvars={nvars!r}")
@@ -374,20 +363,31 @@ def _coefficient(value) -> int | Fraction:
     if type(value) is int:
         return value
     if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
+        return _lower(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
     raise DomainError(f"Poly takes int or Fraction values, got {value!r}")
 
 
-def _settle(terms: dict) -> dict:
-    """Canonicalise a fresh term dict in place: drop zeros, lower whole Fractions to int."""
+def _lower(value: Fraction) -> int | Fraction:
+    """A Fraction in canonical form: its numerator when it is whole."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def _settle(terms: dict, keys=None) -> dict:
+    """Put a fresh term dict in canonical form, in place, and return it.
+
+    Zeros are dropped and whole Fractions lowered to int; this is the one
+    place the rule is applied to stored terms.  ``keys`` limits the pass to
+    the entries an operation touched (all of them by default).
+    """
     zeros = []
-    for exps, c in terms.items():
+    for exps in terms if keys is None else keys:
+        c = terms[exps]
         if not c:
             zeros.append(exps)
-        elif type(c) is not int and c.denominator == 1:
-            terms[exps] = c.numerator
+        elif type(c) is not int:
+            terms[exps] = _lower(c)
     for exps in zeros:
         del terms[exps]
     return terms

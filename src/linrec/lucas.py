@@ -74,9 +74,10 @@ def lucas_transform_bell_prefix(coeffs, upto: int) -> list:
         raise DomainError(f"lucas_transform_bell_prefix needs upto >= 1, got {upto}")
     x = tuple(math.factorial(i) * ci for i, ci in enumerate(cv.c, start=1))
     table = bell_table(upto, x)
+    zero = ring_const(0, ring_exemplar(cv.c))
     out = []
     for n in range(1, upto + 1):
-        total = 0
+        total = zero
         for k in range(1, n + 1):
             total = total + math.factorial(k - 1) * table[n][k]
         out.append(lower_like(exact_div(total, math.factorial(n - 1)), cv.c))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import math
 
 from .bell import bell_table
-from .kernel import DomainError, exact_div, lower_like
+from .kernel import DomainError, exact_div, lower_like, ring_const, ring_exemplar
 from .lucas import lucas_transform
 from .recurrence import CoeffVector, RecurrenceSpec, _stride_terms, as_coeff_vector
 
@@ -41,13 +41,15 @@ class GammaVector:
         return self.coeffs.d
 
 
-def _bell_sum(table, k: int) -> object:
+def _bell_sum(table, k: int, c) -> object:
     """sum_{j=1..k} ((-1)^{j+1} / k!) * B_{k,j} from a prepared Bell table.
 
-    The signed entries are summed first and divided by k! once, so integer
-    data stays integer until that one exact division.
+    The signed entries are summed in the domain of the coefficients c and
+    divided by k! once, so integer data stays integer until that one exact
+    division.  The sum starts at c's zero because the table skips zero
+    arguments, so some entries stay int-typed even over Fraction data.
     """
-    total = 0
+    total = ring_const(0, ring_exemplar(c))
     for j in range(1, k + 1):
         total = total + table[k][j] if j % 2 else total - table[k][j]
     return exact_div(total, math.factorial(k))
@@ -70,11 +72,11 @@ def gamma_coefficients(coeffs, m: int, *, cross_check: bool = False) -> GammaVec
     hats = _stride_terms(cv.c, lucas_transform(cv, d - 1).terms, m, m, depth)
     x = tuple(math.factorial(i) * hat for i, hat in enumerate(hats))
     table = bell_table(depth, x)
-    gamma = [lower_like(_bell_sum(table, k), cv.c) for k in range(1, d)]
+    gamma = [lower_like(_bell_sum(table, k, cv.c), cv.c) for k in range(1, d)]
     sign = (-1) ** ((d + 1) * (m + 1))
     last = sign * cv.c[-1] ** m
     if cross_check:
-        from_bell = lower_like(_bell_sum(table, d), cv.c)
+        from_bell = lower_like(_bell_sum(table, d, cv.c), cv.c)
         if from_bell != last:
             raise ArithmeticError(
                 f"trailing coefficient mismatch: Bell sum {from_bell}, sign formula {last}"

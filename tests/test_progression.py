@@ -75,11 +75,23 @@ class TestGammaGoldens:
         assert g[-1] == -Fraction(9, 16)
 
     def test_mixed_int_and_fraction_coefficients(self):
-        # integer leading coefficients keep some Bell entries int-typed
-        for c in [(1, 1, Fraction(1, 2)), (2, Fraction(-1, 3)), (1, 0, 3, Fraction(5, 2))]:
+        # integer leading coefficients keep some Bell entries int-typed; in the
+        # last two a Fraction-typed trace term cancels to 0 (hat_2 = 1 + 2*(-1/2)),
+        # so a whole Bell row is int-typed while its sum is not an integer
+        cases = [
+            (1, 1, Fraction(1, 2)),
+            (2, Fraction(-1, 3)),
+            (1, 0, 3, Fraction(5, 2)),
+            (1, Fraction(-1, 2), 1),
+            (1, Fraction(-1, 2)),
+        ]
+        for c in cases:
             for m in range(1, 7):
                 g = gamma_coefficients(c, m, cross_check=True).gamma
-                assert g == char_poly_of_power(c, m).c
+                assert g == gamma_coefficients(c, m).gamma == char_poly_of_power(c, m).c
+                spec = RecurrenceSpec(CoeffVector(c), tuple(range(1, len(c) + 1)))
+                sub = subseq_recurrence(spec, m, 1)
+                assert seq_range(sub, 0, 12) == seq_range(spec, 0, 12 * m + 1)[1::m]
             assert lucas_transform_bell_prefix(c, 8) == list(lucas_transform(c, 8).terms[1:])
 
     def test_domain(self):
