@@ -23,9 +23,8 @@ from .kernel import (
     value_to_json,
 )
 from .lucas import UnknownFamily, lucas_transform
-from .oracle import UNDERDETERMINED, NoSolution, char_poly_of_power, fit_recurrence, verify_recurrence
-from .progression import gamma_coefficients, subseq_recurrence
-from .recurrence import CoeffVector, InvalidCoeffs, RecurrenceSpec, _stride_terms, seq_eval, seq_range
+from .progression import SliceReport, gamma_coefficients, subseq_recurrence, verify_slice
+from .recurrence import CoeffVector, InvalidCoeffs, RecurrenceSpec, seq_eval, seq_range
 from .sequences import UnknownName, catalog_get, catalog_names
 from .sums import DegenerateDivisor, partial_sum_closed, partial_sum_form
 
@@ -209,38 +208,17 @@ def _cmd_subsum(parser, args) -> int:
     return 0
 
 
-def _verify_one(name: str, spec: RecurrenceSpec, m: int, r: int, depth: int) -> dict:
-    """Four-way agreement: Bell route, charpoly route, direct check, re-fit."""
-    gv = gamma_coefficients(spec.coeffs, m, cross_check=True)
-    oracle_coeffs = char_poly_of_power(spec.coeffs, m)
-    charpoly_agree = gv.coeffs == oracle_coeffs
-    d = spec.order
-    sub_terms = _stride_terms(spec.coeffs.c, spec.initial, m, r, depth)
-    violations = verify_recurrence(sub_terms, gv.coeffs) if depth > d else []
-    if depth >= 2 * d:
-        try:
-            fitted = fit_recurrence(sub_terms, d)
-        except NoSolution:
-            fitted = None
-        if fitted is UNDERDETERMINED:
-            fit_state = "underdetermined"
-        elif fitted is None:
-            fit_state = "mismatch"
-        else:
-            fit_state = "agree" if fitted == gv.coeffs else "mismatch"
-    else:
-        fit_state = "skipped"
-    passed = charpoly_agree and not violations and fit_state != "mismatch"
+def _verify_record(name: str, report: SliceReport) -> dict:
     return {
         "name": name,
-        "m": m,
-        "r": r,
-        "depth": depth,
-        "gamma": [value_to_json(g) for g in gv.gamma],
-        "charpoly": "agree" if charpoly_agree else "mismatch",
-        "violations": violations,
-        "fit": fit_state,
-        "result": "PASS" if passed else "FAIL",
+        "m": report.m,
+        "r": report.r,
+        "depth": report.depth,
+        "gamma": [value_to_json(g) for g in report.gamma.gamma],
+        "charpoly": "agree" if report.charpoly_agree else "mismatch",
+        "violations": list(report.violations),
+        "fit": report.fit,
+        "result": "PASS" if report.passed else "FAIL",
     }
 
 
@@ -268,22 +246,16 @@ def _cmd_verify(parser, args) -> int:
     if args.all_catalog:
         if args.coeffs or args.catalog or args.init:
             parser.error("--all-catalog replaces --coeffs/--init/--catalog")
-        reports = []
-        for name in catalog_names():
-            if "(" in name:  # family templates are not concrete entries
-                continue
-            entry = catalog_get(name)
-            reports.append(_verify_one(name, entry.spec, args.m, args.r, args.depth))
-        lines = []
-        for rep in reports:
-            lines.extend(_verify_lines(rep))
-        _emit(args, lines, {"command": "verify", "reports": reports})
-        return 0 if all(r["result"] == "PASS" for r in reports) else 1
-    spec = _spec(parser, args)
-    name = args.catalog if args.catalog is not None else "inline"
-    report = _verify_one(name, spec, args.m, args.r, args.depth)
-    _emit(args, _verify_lines(report), {"command": "verify", "reports": [report]})
-    return 0 if report["result"] == "PASS" else 1
+        # family templates are not concrete entries
+        specs = [(name, catalog_get(name).spec) for name in catalog_names() if "(" not in name]
+    else:
+        specs = [(args.catalog if args.catalog is not None else "inline", _spec(parser, args))]
+    reports = [
+        _verify_record(name, verify_slice(spec, args.m, args.r, args.depth)) for name, spec in specs
+    ]
+    lines = [line for report in reports for line in _verify_lines(report)]
+    _emit(args, lines, {"command": "verify", "reports": reports})
+    return 0 if all(report["result"] == "PASS" for report in reports) else 1
 
 
 def _cmd_catalog(parser, args) -> int:
@@ -404,7 +376,7 @@ def main(argv=None) -> int:
     except DegenerateDivisor as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DomainError, InvalidCoeffs, UnknownName, UnknownFamily, SizeLimit, NoSolution) as exc:
+    except (DomainError, InvalidCoeffs, UnknownName, UnknownFamily, SizeLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import math
+from operator import mul
 
-from .kernel import DomainError, Poly
+from .kernel import DomainError
 from .recurrence import CoeffVector, as_coeff_vector
 
 
@@ -177,51 +179,71 @@ def verify_recurrence(terms, coeffs, start: int | None = None) -> list[int]:
     return bad
 
 
+def _over_common_denominator(values) -> tuple[int, list]:
+    """(den, ints) with values[i] == ints[i] / den, for int and Fraction values."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _primitive(row: list) -> list:
+    """An integer row divided by its content, so entries stay the size of minors."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [v // g for v in row]
+
+
+def _cancel(row: list, basis: list, p: int) -> list:
+    """Fraction-free: basis[p] * row - row[p] * basis, which is zero at column p."""
+    a, b = basis[p], row[p]
+    return _primitive([a * x - b * y for x, y in zip(row, basis)])
+
+
 def fit_recurrence(terms, d: int):
     """Recover order-d coefficients from raw terms by exact elimination.
 
-    Every window n in [d, len(terms)) contributes one linear equation; the
-    full system is solved over Fraction.  Returns a CoeffVector when the
-    solution is unique with nonzero trailing coefficient, UNDERDETERMINED
-    when the system is singular (or only a lower-order recurrence fits),
-    and raises NoSolution when the windows are mutually inconsistent.
-    Poly terms are outside the domain (DomainError).
+    Every window n in [d, len(terms)) gives one equation
+    g_d t_{n-d} + ... + g_1 t_{n-1} = t_n.  The windows are taken in order,
+    scaled to integers and reduced fraction-free (cf. Bareiss, Math. Comp.
+    1968; here each row is divided by its content) into a Gauss-Jordan
+    basis.  Once d pivots are found the solution is unique, and one pass
+    checks it against every window.  Returns a CoeffVector when the solution is unique with
+    nonzero trailing coefficient, UNDERDETERMINED when the system is
+    singular (or only a lower-order recurrence fits), and raises NoSolution
+    when the windows are mutually inconsistent.  Only int and Fraction terms
+    are in the domain (DomainError otherwise).
     """
     if d < 1:
         raise DomainError(f"fit_recurrence needs d >= 1, got {d}")
     terms = list(terms)
-    if any(isinstance(t, Poly) for t in terms):
-        raise DomainError("fit_recurrence solves over int and Fraction terms, not Poly")
+    if not all(isinstance(t, (int, Fraction)) for t in terms):
+        raise DomainError("fit_recurrence solves over int and Fraction terms only")
     if len(terms) < 2 * d:
         raise DomainError(f"need at least {2 * d} terms to fit order {d}, got {len(terms)}")
-    aug = [
-        [Fraction(terms[n - k]) for k in range(1, d + 1)] + [Fraction(terms[n])]
-        for n in range(d, len(terms))
-    ]
-    rank = 0
-    pivot_cols = []
-    for col in range(d):
-        pivot = next((i for i in range(rank, len(aug)) if aug[i][col]), None)
-        if pivot is None:
+    inconsistent = NoSolution(f"no order-{d} recurrence matches all {len(terms)} terms")
+    # column j holds t_{n-d+j} and the unknown g_{d-j}; column d holds t_n
+    pivots: dict[int, list] = {}  # pivot column -> row, zero in every other pivot column
+    for n in range(d, len(terms)):
+        row = _primitive(_over_common_denominator(terms[n - d : n + 1])[1])
+        for p, basis in pivots.items():
+            if row[p]:
+                row = _cancel(row, basis, p)
+        lead = next((j for j, v in enumerate(row) if v), d + 1)
+        if lead == d:
+            raise inconsistent
+        if lead > d:
             continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = aug[rank][col]
-        aug[rank] = [v / inv for v in aug[rank]]
-        for i in range(len(aug)):
-            if i != rank and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [u - factor * w for u, w in zip(aug[i], aug[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    for i in range(rank, len(aug)):
-        if aug[i][d]:
-            raise NoSolution(f"no order-{d} recurrence matches all {len(terms)} terms")
-    if rank < d:
+        for p, basis in pivots.items():
+            if basis[lead]:
+                pivots[p] = _cancel(basis, row, lead)
+        pivots[lead] = row
+        if len(pivots) == d:
+            break
+    else:
         return UNDERDETERMINED
-    g = [Fraction(0)] * d
-    for i, col in enumerate(pivot_cols):
-        g[col] = aug[i][d]
-    if g[d - 1] == 0:
+    sol = [Fraction(pivots[j][d], pivots[j][j]) for j in range(d)]
+    den, num = _over_common_denominator(sol)
+    if any(den * terms[n] != sum(map(mul, num, terms[n - d : n])) for n in range(d, len(terms))):
+        raise inconsistent
+    if sol[0] == 0:
         # a shorter recurrence fits the window; no genuine order-d answer
         return UNDERDETERMINED
-    return CoeffVector(tuple(v.numerator if v.denominator == 1 else v for v in g))
+    return CoeffVector(tuple(v.numerator if v.denominator == 1 else v for v in reversed(sol)))

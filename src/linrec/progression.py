@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import math
 
 from .bell import bell_table
-from .kernel import DomainError, exact_div, lower_like, ring_const, ring_exemplar
+from .kernel import DomainError, Poly, exact_div, lower_like, ring_const, ring_exemplar
 from .lucas import lucas_transform
+from .oracle import UNDERDETERMINED, NoSolution, char_poly_of_power, fit_recurrence, verify_recurrence
 from .recurrence import CoeffVector, RecurrenceSpec, _stride_terms, as_coeff_vector
 
 
@@ -96,3 +97,64 @@ def subseq_recurrence(spec: RecurrenceSpec, m: int, r: int) -> RecurrenceSpec:
     gv = gamma_coefficients(spec.coeffs, m)
     initial = _stride_terms(spec.coeffs.c, spec.initial, m, r, spec.order)
     return RecurrenceSpec(gv.coeffs, tuple(initial))
+
+
+@dataclass(frozen=True)
+class SliceReport:
+    """How the slice b_n = a_{mn+r} fared against gamma, checked four ways.
+
+    gamma is the Bell route, already cross-checked against the trailing sign
+    formula; charpoly_agree says whether det(tI - C^m) gives the same
+    coefficients; violations lists the slice indices where gamma fails on
+    the first depth slice terms; fit is the re-fit of those terms:
+    "agree", "mismatch", "underdetermined" (a lower-order recurrence fits)
+    or "skipped" (fewer than 2d terms, or Poly terms).
+    """
+
+    m: int
+    r: int
+    depth: int
+    gamma: GammaVector
+    charpoly_agree: bool
+    violations: tuple
+    fit: str
+
+    @property
+    def passed(self) -> bool:
+        return self.charpoly_agree and not self.violations and self.fit != "mismatch"
+
+
+def _fit_state(terms: list, d: int, coeffs: CoeffVector) -> str:
+    if len(terms) < 2 * d or any(isinstance(t, Poly) for t in terms):
+        return "skipped"
+    try:
+        fitted = fit_recurrence(terms, d)
+    except NoSolution:
+        return "mismatch"
+    if fitted is UNDERDETERMINED:
+        return "underdetermined"
+    return "agree" if fitted == coeffs else "mismatch"
+
+
+def verify_slice(spec: RecurrenceSpec, m: int, r: int = 0, depth: int = 40) -> SliceReport:
+    """Check the slice recurrence of a_{mn+r} by the Bell route, det(tI - C^m),
+    a direct check of the first depth slice terms and a re-fit of them.
+
+    The direct check covers slice indices d..depth-1, so it needs depth > d;
+    the re-fit needs depth >= 2d.
+    """
+    if m < 1 or r < 0 or depth < 1:
+        raise DomainError(
+            f"verify_slice needs m >= 1, r >= 0 and depth >= 1; got m={m}, r={r}, depth={depth}"
+        )
+    gv = gamma_coefficients(spec.coeffs, m, cross_check=True)
+    terms = _stride_terms(spec.coeffs.c, spec.initial, m, r, depth)
+    return SliceReport(
+        m=m,
+        r=r,
+        depth=depth,
+        gamma=gv,
+        charpoly_agree=gv.coeffs == char_poly_of_power(spec.coeffs, m),
+        violations=tuple(verify_recurrence(terms, gv.coeffs)),
+        fit=_fit_state(terms, spec.order, gv.coeffs),
+    )

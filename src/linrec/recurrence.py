@@ -33,6 +33,11 @@ def _check_exact(values, what: str) -> tuple:
     return values
 
 
+def _check_one_ring(values, what: str) -> None:
+    if len({v.nvars for v in values if isinstance(v, Poly)}) > 1:
+        raise InvalidCoeffs(f"{what} mix polynomials over different variable sets")
+
+
 @dataclass(frozen=True)
 class CoeffVector:
     """Recurrence coefficients c_1..c_d with c_d != 0."""
@@ -45,6 +50,7 @@ class CoeffVector:
             raise InvalidCoeffs("a recurrence needs at least one coefficient")
         if c[-1] == 0:
             raise InvalidCoeffs("trailing coefficient c_d must be nonzero")
+        _check_one_ring(c, "coefficients")
         object.__setattr__(self, "c", c)
 
     @property
@@ -77,6 +83,7 @@ class RecurrenceSpec:
                 f"{coeffs.d} coefficients need exactly {coeffs.d} initial terms, "
                 f"got {len(initial)}"
             )
+        _check_one_ring(coeffs.c + initial, "coefficients and initial terms")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "initial", initial)
 

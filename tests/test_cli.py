@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +188,20 @@ class TestVerify:
         assert [scalar_from_str(v) for v in report["gamma"]] == [4, -3, 1]
 
 
+# `linrec verify` stdout, text and --json, recorded before verification moved into the library
+VERIFY_GOLDENS = json.loads((Path(__file__).parent / "verify_goldens.json").read_text())
+
+
+class TestVerifyGoldens:
+    @pytest.mark.parametrize("case", sorted(VERIFY_GOLDENS))
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_stdout_unchanged(self, capsys, case, form):
+        golden = VERIFY_GOLDENS[case]
+        code, out, _ = run_cli(capsys, *golden["argv"], *(["--json"] if form == "json" else []))
+        assert code == 0
+        assert out == golden[form]
+
+
 class TestCatalogCmd:
     def test_listing(self, capsys):
         code, out, _ = run_cli(capsys, "catalog")
@@ -231,6 +246,19 @@ class TestExitCodes:
     def test_negative_r(self, capsys):
         code, _, err = run_cli(capsys, "subsum", "--catalog", "fibonacci", "--m", "2", "--r", "-1", "--n", "4")
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--catalog", "fibonacci", "--m", "3", "--r=-1"],
+            ["--catalog", "tribonacci", "--m", "100", "--r=-7", "--depth", "6"],
+        ],
+    )
+    def test_verify_negative_r(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 3
+        assert out == ""
+        assert "r >= 0" in err
 
     def test_symbolic_requires_d(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -242,3 +242,127 @@ class TestTraceLink:
             for n in range(0, 11):
                 assert mat_trace(power) == terms[n]
                 power = mat_mul(power, mat)
+
+
+def fit_by_fraction_elimination(terms, d: int):
+    """The former fit_recurrence, kept verbatim as the reference for the fraction-free fit."""
+    if d < 1:
+        raise DomainError(f"fit_recurrence needs d >= 1, got {d}")
+    terms = list(terms)
+    if any(isinstance(t, Poly) for t in terms):
+        raise DomainError("fit_recurrence solves over int and Fraction terms, not Poly")
+    if len(terms) < 2 * d:
+        raise DomainError(f"need at least {2 * d} terms to fit order {d}, got {len(terms)}")
+    aug = [
+        [Fraction(terms[n - k]) for k in range(1, d + 1)] + [Fraction(terms[n])]
+        for n in range(d, len(terms))
+    ]
+    rank = 0
+    pivot_cols = []
+    for col in range(d):
+        pivot = next((i for i in range(rank, len(aug)) if aug[i][col]), None)
+        if pivot is None:
+            continue
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        inv = aug[rank][col]
+        aug[rank] = [v / inv for v in aug[rank]]
+        for i in range(len(aug)):
+            if i != rank and aug[i][col]:
+                factor = aug[i][col]
+                aug[i] = [u - factor * w for u, w in zip(aug[i], aug[rank])]
+        pivot_cols.append(col)
+        rank += 1
+    for i in range(rank, len(aug)):
+        if aug[i][d]:
+            raise NoSolution(f"no order-{d} recurrence matches all {len(terms)} terms")
+    if rank < d:
+        return UNDERDETERMINED
+    g = [Fraction(0)] * d
+    for i, col in enumerate(pivot_cols):
+        g[col] = aug[i][d]
+    if g[d - 1] == 0:
+        # a shorter recurrence fits the window; no genuine order-d answer
+        return UNDERDETERMINED
+    return CoeffVector(tuple(v.numerator if v.denominator == 1 else v for v in g))
+
+
+def random_window(rng, d: int, rational: bool) -> list:
+    """2d..2d+5 terms: a random head of h <= d terms, then a recurrence of order k <= h
+    (zero coefficients, trailing ones too, allowed), and sometimes one term bumped.
+
+    The head length and k set the rank of the windows anywhere in 0..d; a head longer
+    than k makes a full-rank fit with g_d = 0; a bump makes the windows inconsistent.
+    """
+
+    def value():
+        if rng.random() < 0.3:
+            return 0
+        v = rng.randint(-3, 3)
+        return Fraction(v, rng.randint(1, 3)) if rational and rng.random() < 0.5 else v
+
+    h = rng.randint(0, d)
+    k = rng.randint(0, h)
+    c = [value() for _ in range(k)]
+    terms = [value() for _ in range(h)]
+    length = rng.randint(2 * d, 2 * d + 5)
+    while len(terms) < length:
+        terms.append(sum(ci * terms[-i] for i, ci in enumerate(c, start=1)))
+    if rng.random() < 0.3:
+        terms[rng.choice([-1, rng.randrange(len(terms))])] += rng.choice([-1, 1, Fraction(1, 2)] if rational else [-1, 1])
+    return terms
+
+
+def fit_outcome(fit, terms, d):
+    """What a fit gives: the coefficients with their types, UNDERDETERMINED, or NoSolution."""
+    try:
+        got = fit(terms, d)
+    except NoSolution:
+        return NoSolution
+    if got is UNDERDETERMINED:
+        return got
+    return got.c, tuple(map(type, got.c))
+
+
+class TestFitAgainstFractionElimination:
+    def test_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=400, deadline=None)
+        @hypothesis.given(st.randoms(use_true_random=False), st.integers(1, 4), st.booleans())
+        def check(rng, d, rational):
+            terms = random_window(rng, d, rational)
+            assert fit_outcome(fit_recurrence, terms, d) == fit_outcome(fit_by_fraction_elimination, terms, d)
+
+        check()
+
+    def test_every_rank_and_outcome(self):
+        # the generator reaches every rank 0..d and every outcome, and the two fits agree on all
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(37)
+        for d in range(1, 5):
+            seen = set()
+            for _ in range(250):
+                rational = rng.random() < 0.5
+                terms = random_window(rng, d, rational)
+                want = fit_outcome(fit_by_fraction_elimination, terms, d)
+                assert fit_outcome(fit_recurrence, terms, d) == want
+                rows = [terms[n - d : n] for n in range(d, len(terms))]
+                rank = sympy.Matrix(rows).rank()
+                if want is NoSolution or want is UNDERDETERMINED:
+                    seen.add((rank, want, rational))
+                else:
+                    seen.add((rank, "unique", rational))
+            for rational in (False, True):
+                assert {(r, NoSolution, rational) for r in range(d + 1)} <= seen
+                assert {(r, UNDERDETERMINED, rational) for r in range(d + 1)} <= seen
+                assert (d, "unique", rational) in seen
+
+    def test_trailing_zero_fit_is_underdetermined(self):
+        # t_n = 2 t_{n-1} from n = 2 on, but not at n = 1: full rank, g = (2, 0)
+        assert fit_recurrence([5, 1, 2, 4, 8, 16], 2) is UNDERDETERMINED
+
+    def test_inconsistency_wins_over_underdetermined(self):
+        # rank 0, and the last window asks for 0 = 1
+        with pytest.raises(NoSolution):
+            fit_recurrence([0, 0, 0, 0, 0, 1], 2)

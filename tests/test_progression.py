@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -8,8 +9,9 @@ import pytest
 from linrec import CoeffVector, DomainError, Poly, RecurrenceSpec
 from linrec.kernel import value_to_json
 from linrec.lucas import k_lucas_number, lucas_transform, lucas_transform_bell_prefix
-from linrec.oracle import char_poly_of_power, verify_recurrence
-from linrec.progression import gamma_coefficients, subseq_recurrence
+from linrec import progression
+from linrec.oracle import NoSolution, char_poly_of_power, verify_recurrence
+from linrec.progression import GammaVector, gamma_coefficients, subseq_recurrence, verify_slice
 from linrec.recurrence import seq_range
 from support import random_spec
 
@@ -207,3 +209,69 @@ class TestSymbolic:
         assert hashlib.sha256(blob.encode()).hexdigest() == (
             "71bcfc63750ac25d906b485d9275c29d117cc1ce5298fe639408435b2e701d49"
         )
+
+
+def no_solution():
+    raise NoSolution("inconsistent windows")
+
+
+class TestVerifySlice:
+    SPEC = RecurrenceSpec(CoeffVector((1, 0, 1)), (1, 1, 1))
+
+    def test_fields(self):
+        rep = verify_slice(self.SPEC, 3, 2, 12)
+        assert (rep.m, rep.r, rep.depth) == (3, 2, 12)
+        assert rep.gamma == gamma_coefficients(self.SPEC.coeffs, 3)
+        assert rep.gamma.gamma == (4, -3, 1)
+        assert rep.charpoly_agree is True
+        assert rep.violations == ()
+        assert rep.fit == "agree"
+        assert rep.passed is True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.fit = "mismatch"
+
+    def test_defaults(self):
+        rep = verify_slice(self.SPEC, 2)
+        assert (rep.r, rep.depth, rep.fit, rep.passed) == (0, 40, "agree", True)
+
+    def test_depth_rules(self, monkeypatch):
+        # with a wrong gamma and d = 3: the direct check covers indices 3..depth-1,
+        # and the fit runs from depth 6
+        wrong = GammaVector(2, CoeffVector((1, 1, 1)))
+        monkeypatch.setattr(progression, "gamma_coefficients", lambda coeffs, m, cross_check: wrong)
+        got = [(rep.violations, rep.fit) for rep in (verify_slice(self.SPEC, 2, 0, k) for k in (3, 4, 5, 6))]
+        assert got == [((), "skipped"), ((3,), "skipped"), ((3, 4), "skipped"), ((3, 4, 5), "mismatch")]
+
+    def test_underdetermined_fit_passes(self):
+        # a constant sequence fits an order-1 recurrence: the order-2 fit is singular
+        rep = verify_slice(RecurrenceSpec(CoeffVector((2, -1)), (3, 3)), 4)
+        assert (rep.gamma.gamma, rep.fit, rep.passed) == ((2, -1), "underdetermined", True)
+
+    def test_fraction_spec(self):
+        rep = verify_slice(RecurrenceSpec(CoeffVector((Fraction(1, 2), 1)), (1, 1)), 3, 2)
+        assert rep.gamma.gamma == (Fraction(13, 8), 1)
+        assert (rep.fit, rep.passed) == ("agree", True)
+
+    def test_poly_spec_skips_only_the_fit(self):
+        rep = verify_slice(RecurrenceSpec(CoeffVector(Poly.variables(2)), (0, 1)), 2, 1, 6)
+        assert (rep.charpoly_agree, rep.violations, rep.fit, rep.passed) == (True, (), "skipped", True)
+
+    @pytest.mark.parametrize(
+        "name, patch, field",
+        [
+            ("char_poly_of_power", lambda coeffs, m: CoeffVector((1, 1, 1)), "charpoly_agree"),
+            ("verify_recurrence", lambda terms, coeffs: [7], "violations"),
+            ("fit_recurrence", lambda terms, d: CoeffVector((1, 1, 1)), "fit"),
+            ("fit_recurrence", lambda terms, d: no_solution(), "fit"),
+        ],
+    )
+    def test_any_disagreement_fails(self, monkeypatch, name, patch, field):
+        monkeypatch.setattr(progression, name, patch)
+        rep = verify_slice(self.SPEC, 3)
+        assert getattr(rep, field) in (False, (7,), "mismatch")
+        assert rep.passed is False
+
+    @pytest.mark.parametrize("m, r, depth", [(0, 0, 40), (3, -1, 40), (100, -7, 6), (2, 0, 0)])
+    def test_domain(self, m, r, depth):
+        with pytest.raises(DomainError):
+            verify_slice(self.SPEC, m, r, depth)

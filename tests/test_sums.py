@@ -6,6 +6,7 @@ import pytest
 from linrec import CoeffVector, DegenerateDivisor, DomainError, InvalidCoeffs, Poly, RecurrenceSpec
 from linrec.lucas import lucas_transform, lucas_transform_bell_prefix
 from linrec.oracle import companion, mat_pow
+from linrec.progression import gamma_coefficients
 from linrec.recurrence import seq_eval, seq_range
 from linrec.sums import (
     invert_partial_sum,
@@ -44,6 +45,20 @@ class TestSpecValidation:
     def test_initial_length_mismatch(self):
         with pytest.raises(InvalidCoeffs):
             RecurrenceSpec(CoeffVector((1, 1)), (0, 1, 1))
+
+    def test_mixed_variable_sets_rejected(self):
+        x2, x3 = Poly.variables(2)[0], Poly.variables(3)[0]
+        with pytest.raises(InvalidCoeffs):
+            CoeffVector((x2, x3))
+        with pytest.raises(InvalidCoeffs):
+            RecurrenceSpec(CoeffVector(Poly.variables(2)), (x3, 1))
+        with pytest.raises(InvalidCoeffs):
+            RecurrenceSpec(CoeffVector((1, 1)), (x2, x3))
+        for call in (gamma_coefficients, lucas_transform):
+            with pytest.raises(InvalidCoeffs):
+                call((x2, x3), 2)
+        # one variable set, with scalars mixed in, is fine
+        assert seq_eval(RecurrenceSpec(CoeffVector((x2, 1)), (1, x2)), 2) == x2**2 + 1
 
 
 class TestSeqEval:
