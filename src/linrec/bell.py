@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-from .kernel import DomainError, binomial, lower_like
+from .kernel import DomainError, _check_index, binomial, lower_like
 
 
 class SizeLimit(ValueError):
@@ -32,8 +32,7 @@ def bell_table(upto: int, x) -> list[list]:
 
     One table amortizes the recurrence across every (n, k) a caller needs.
     """
-    if upto < 0:
-        raise DomainError(f"bell_table needs upto >= 0, got {upto}")
+    _check_index(upto, "upto")
     x = tuple(x)
     table: list[list] = [[1]]
     for n in range(1, upto + 1):
@@ -55,8 +54,8 @@ def bell_table(upto: int, x) -> list[list]:
 
 def bell_partial(n: int, k: int, x):
     """B_{n,k}(x) for a finite argument vector x (trailing zeros implied)."""
-    if n < 0 or k < 0:
-        raise DomainError(f"bell_partial needs n, k >= 0, got ({n}, {k})")
+    _check_index(n, "n")
+    _check_index(k, "k")
     if k > n:
         return 0
     return bell_table(n, x)[n][k]

@@ -33,6 +33,12 @@ class DomainError(ValueError):
     """An argument lies outside an operation's documented domain."""
 
 
+def _check_index(value, name: str, least: int = 0) -> None:
+    """Reject an index argument (n, k, m, r, depth, upto) that is not an int >= least, or is a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise DomainError(f"expected an int {name} >= {least}, got {value!r}")
+
+
 #: Values usable as recurrence data in numeric mode.
 Scalar = int | Fraction
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 import math
 
 from .bell import bell_table
-from .kernel import DomainError, as_integer, exact_div, lower_like, ring_const, ring_exemplar
+from .kernel import DomainError, _check_index, as_integer, exact_div, lower_like, ring_const, ring_exemplar
 from .recurrence import CoeffVector, _extend, as_coeff_vector
 
 
@@ -58,8 +58,7 @@ class LucasTransform:
 def lucas_transform(coeffs, upto: int) -> LucasTransform:
     """Trace terms hat_0..hat_upto via Newton's identities plus the recurrence."""
     cv = as_coeff_vector(coeffs)
-    if upto < 0:
-        raise DomainError(f"lucas_transform needs upto >= 0, got {upto}")
+    _check_index(upto, "upto")
     return LucasTransform(cv, (ring_const(cv.d, ring_exemplar(cv.c)),)).extended(upto)
 
 
@@ -70,8 +69,7 @@ def lucas_transform_bell_prefix(coeffs, upto: int) -> list:
     a round trip through the whole gamma pipeline.
     """
     cv = as_coeff_vector(coeffs)
-    if upto < 1:
-        raise DomainError(f"lucas_transform_bell_prefix needs upto >= 1, got {upto}")
+    _check_index(upto, "upto", 1)
     x = tuple(math.factorial(i) * ci for i, ci in enumerate(cv.c, start=1))
     table = bell_table(upto, x)
     zero = ring_const(0, ring_exemplar(cv.c))

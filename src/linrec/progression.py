@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import math
 
 from .bell import bell_table
-from .kernel import DomainError, Poly, exact_div, lower_like, ring_const, ring_exemplar
+from .kernel import Poly, _check_index, exact_div, lower_like, ring_const, ring_exemplar
 from .lucas import lucas_transform
 from .oracle import UNDERDETERMINED, NoSolution, char_poly_of_power, fit_recurrence, verify_recurrence
 from .recurrence import CoeffVector, RecurrenceSpec, _stride_terms, as_coeff_vector
@@ -66,8 +66,7 @@ def gamma_coefficients(coeffs, m: int, *, cross_check: bool = False) -> GammaVec
     those terms are jumped to from its Newton head hat_0..hat_{d-1}.
     """
     cv = as_coeff_vector(coeffs)
-    if m < 1:
-        raise DomainError(f"stride m must be >= 1, got {m}")
+    _check_index(m, "m", 1)
     d = cv.d
     depth = d if cross_check else d - 1
     hats = _stride_terms(cv.c, lucas_transform(cv, d - 1).terms, m, m, depth)
@@ -92,8 +91,7 @@ def subseq_recurrence(spec: RecurrenceSpec, m: int, r: int) -> RecurrenceSpec:
     The coefficient vector does not depend on r; the initial terms
     a_r, a_{m+r}, ..., a_{(d-1)m+r} are jumped to.  The relation holds for n >= d.
     """
-    if r < 0:
-        raise DomainError(f"offset r must be >= 0, got {r}")
+    _check_index(r, "r")
     gv = gamma_coefficients(spec.coeffs, m)
     initial = _stride_terms(spec.coeffs.c, spec.initial, m, r, spec.order)
     return RecurrenceSpec(gv.coeffs, tuple(initial))
@@ -143,10 +141,9 @@ def verify_slice(spec: RecurrenceSpec, m: int, r: int = 0, depth: int = 40) -> S
     The direct check covers slice indices d..depth-1, so it needs depth > d;
     the re-fit needs depth >= 2d.
     """
-    if m < 1 or r < 0 or depth < 1:
-        raise DomainError(
-            f"verify_slice needs m >= 1, r >= 0 and depth >= 1; got m={m}, r={r}, depth={depth}"
-        )
+    _check_index(m, "m", 1)
+    _check_index(r, "r")
+    _check_index(depth, "depth", 1)
     gv = gamma_coefficients(spec.coeffs, m, cross_check=True)
     terms = _stride_terms(spec.coeffs.c, spec.initial, m, r, depth)
     return SliceReport(

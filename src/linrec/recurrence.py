@@ -7,15 +7,24 @@ c_1..c_d (c_d nonzero) with
 
 together with initial terms a_0..a_{d-1}.  Coefficients and terms may live in
 any of the exact domains from :mod:`linrec.kernel`.
+
+Jumps and short walks (:func:`_stride_terms`, behind every single-term,
+window and slice call) clear a rational spec's denominators once: with D the
+lcm of the coefficients' denominators and e that of the initial terms',
+b_n = e*D^n*a_n satisfies the integer recurrence c_i*D^i, which is run
+instead, and a_n = b_n / (e*D^n) is read off at the end.  Long forward walks
+(:func:`_extend` behind ``seq_range``'s tail) stay in the data's own domain,
+where scaling would not pay: the per-term gcd of the output dominates them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import math
 from operator import mul
 
-from .kernel import DomainError, Poly
+from .kernel import Poly, _check_index
 
 
 class InvalidCoeffs(ValueError):
@@ -158,10 +167,28 @@ def _stride_terms(c: tuple, head, m: int, r: int, count: int) -> list:
     """t_r, t_{r+m}, ..., t_{r+(count-1)m} of the sequence with recurrence c and initial terms head.
 
     Small last indices walk; larger ones take x^r mod q once and step by
-    multiplying with x^m mod q, applying each residue to head.
+    multiplying with x^m mod q, applying each residue to head.  Int and
+    Fraction data with some Fraction runs as the integer sequence
+    b_n = e*D^n*a_n (see the module docstring); indices below d return
+    head's own values.
     """
     if count < 1:
         return []
+    kinds = set(map(type, (*c, *head)))
+    if Fraction in kinds and kinds <= {int, Fraction}:
+        D = math.lcm(*(ci.denominator for ci in c))
+        e = math.lcm(*(a.denominator for a in head))
+        lifted_c = tuple(
+            ci.numerator * (D // ci.denominator) * D ** (i - 1) for i, ci in enumerate(c, start=1)
+        )
+        lifted_head = tuple(a.numerator * (e // a.denominator) * D**j for j, a in enumerate(head))
+        scale, step = e * D**r, D**m
+        out = []
+        for k, b in enumerate(_stride_terms(lifted_c, lifted_head, m, r, count)):
+            i = r + k * m
+            out.append(head[i] if i < len(head) else Fraction(b, scale))
+            scale *= step
+        return out
     last = r + (count - 1) * m
     if last < _JUMP_CUTOFF:
         return _extend(c, list(head[: last + 1]), last)[r : last + 1 : m]
@@ -177,21 +204,19 @@ def _stride_terms(c: tuple, head, m: int, r: int, count: int) -> list:
 
 def seq_window(spec: RecurrenceSpec, n: int, k: int) -> list:
     """Terms a_n..a_{n+k-1}; past the cutoff each comes from x^i mod q, not a walk from a_0."""
-    if n < 0 or k < 0:
-        raise DomainError(f"bad window: start {n}, length {k}")
+    _check_index(n, "n")
+    _check_index(k, "k")
     return _stride_terms(spec.coeffs.c, spec.initial, 1, n, k)
 
 
 def seq_range(spec: RecurrenceSpec, n0: int, n1: int) -> list:
     """Terms a_{n0}..a_{n1} inclusive: a jump to the first d, then forward iteration."""
-    if n0 < 0 or n1 < n0:
-        raise DomainError(f"bad index range {n0}..{n1}")
+    _check_index(n0, "n0")
+    _check_index(n1, "n1", n0)
     head = seq_window(spec, n0, min(spec.order, n1 - n0 + 1))
     return _extend(spec.coeffs.c, head, n1 - n0)
 
 
 def seq_eval(spec: RecurrenceSpec, n: int):
     """Single term a_n, in time logarithmic in n for large n."""
-    if n < 0:
-        raise DomainError(f"term index must be nonnegative, got {n}")
     return seq_window(spec, n, 1)[0]

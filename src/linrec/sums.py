@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import DomainError, exact_div, ring_const, ring_exemplar
+from .kernel import DomainError, _check_index, exact_div, ring_const, ring_exemplar
 from .progression import subseq_recurrence
 from .recurrence import RecurrenceSpec, _extend, as_coeff_vector, seq_range
 
@@ -71,8 +71,7 @@ def partial_sum_form(spec: RecurrenceSpec) -> SumClosedForm:
 
 def partial_sum_closed(spec: RecurrenceSpec, n: int):
     """sum_{j=0..n} a_j in closed form, exactly."""
-    if n < 0:
-        raise DomainError(f"partial sums need n >= 0, got {n}")
+    _check_index(n, "n")
     form = partial_sum_form(spec)
     return form.evaluate(seq_range(spec, n + 1, n + spec.order))
 
@@ -101,8 +100,7 @@ def invert_sequence(coeffs, upto: int) -> list:
     y is the recurrence's own solution from y_{1-d} = ... = y_{-1} = 0, y_0 = 1.
     """
     cv = as_coeff_vector(coeffs)
-    if upto < 0:
-        raise DomainError(f"invert_sequence needs upto >= 0, got {upto}")
+    _check_index(upto, "upto")
     d = cv.d
     y = _extend(cv.c, [0] * (d - 1) + [ring_const(1, ring_exemplar(cv.c))], upto + d - 1)
     return y[d - 1 :]
@@ -111,8 +109,7 @@ def invert_sequence(coeffs, upto: int) -> list:
 def invert_partial_sum(coeffs, n: int) -> InvertSumCheck:
     """Evaluate both sides of the inverse-sequence sum identity at n."""
     cv = as_coeff_vector(coeffs)
-    if n < 0:
-        raise DomainError(f"invert_partial_sum needs n >= 0, got {n}")
+    _check_index(n, "n")
     c = cv.c
     d = len(c)
     y = invert_sequence(cv, n + d)

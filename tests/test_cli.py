@@ -190,6 +190,7 @@ class TestVerify:
 
 # `linrec verify` stdout, text and --json, recorded before verification moved into the library
 VERIFY_GOLDENS = json.loads((Path(__file__).parent / "verify_goldens.json").read_text())
+RATIONAL_GOLDENS = json.loads((Path(__file__).parent / "rational_goldens.json").read_text())
 
 
 class TestVerifyGoldens:
@@ -197,6 +198,18 @@ class TestVerifyGoldens:
     @pytest.mark.parametrize("form", ["text", "json"])
     def test_stdout_unchanged(self, capsys, case, form):
         golden = VERIFY_GOLDENS[case]
+        code, out, _ = run_cli(capsys, *golden["argv"], *(["--json"] if form == "json" else []))
+        assert code == 0
+        assert out == golden[form]
+
+
+class TestRationalGoldens:
+    """eval, gamma, sum, subsum and verify on Fraction specs print what they always printed."""
+
+    @pytest.mark.parametrize("case", sorted(RATIONAL_GOLDENS))
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_stdout_unchanged(self, capsys, case, form):
+        golden = RATIONAL_GOLDENS[case]
         code, out, _ = run_cli(capsys, *golden["argv"], *(["--json"] if form == "json" else []))
         assert code == 0
         assert out == golden[form]

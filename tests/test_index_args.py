@@ -1,0 +1,54 @@
+"""Every index argument (n, k, m, r, depth, upto) must be an int, not a bool, and in range."""
+
+from fractions import Fraction
+
+import pytest
+
+from linrec import CoeffVector, DomainError, RecurrenceSpec
+from linrec.bell import bell_partial, bell_table
+from linrec.lucas import lucas_transform, lucas_transform_bell_prefix
+from linrec.progression import gamma_coefficients, subseq_recurrence, verify_slice
+from linrec.recurrence import seq_eval, seq_range, seq_window
+from linrec.sums import invert_partial_sum, invert_sequence, partial_sum_closed, progression_sum
+
+FIB = RecurrenceSpec(CoeffVector((1, 1)), (0, 1))
+
+# each entry calls one public function with the bad value in one index slot
+ENTRIES = {
+    "seq_eval.n": lambda v: seq_eval(FIB, v),
+    "seq_window.n": lambda v: seq_window(FIB, v, 2),
+    "seq_window.k": lambda v: seq_window(FIB, 2, v),
+    "seq_range.n0": lambda v: seq_range(FIB, v, 5),
+    "seq_range.n1": lambda v: seq_range(FIB, 0, v),
+    "gamma_coefficients.m": lambda v: gamma_coefficients((1, 1), v),
+    "subseq_recurrence.m": lambda v: subseq_recurrence(FIB, v, 0),
+    "subseq_recurrence.r": lambda v: subseq_recurrence(FIB, 2, v),
+    "verify_slice.m": lambda v: verify_slice(FIB, v),
+    "verify_slice.r": lambda v: verify_slice(FIB, 2, v),
+    "verify_slice.depth": lambda v: verify_slice(FIB, 2, 0, v),
+    "partial_sum_closed.n": lambda v: partial_sum_closed(FIB, v),
+    "progression_sum.m": lambda v: progression_sum(FIB, v, 0, 3),
+    "progression_sum.r": lambda v: progression_sum(FIB, 2, v, 3),
+    "progression_sum.n": lambda v: progression_sum(FIB, 2, 0, v),
+    "lucas_transform.upto": lambda v: lucas_transform((1, 1), v),
+    "lucas_transform_bell_prefix.upto": lambda v: lucas_transform_bell_prefix((1, 1), v),
+    "invert_sequence.upto": lambda v: invert_sequence((1, 1), v),
+    "invert_partial_sum.n": lambda v: invert_partial_sum((1, 1), v),
+    "bell_table.upto": lambda v: bell_table(v, (1, 1)),
+    "bell_partial.n": lambda v: bell_partial(v, 1, (1, 1)),
+    "bell_partial.k": lambda v: bell_partial(3, v, (1, 1)),
+}
+BAD = [2.5, 3.0, True, Fraction(3), "3", None, -1]
+
+
+@pytest.mark.parametrize("bad", BAD, ids=repr)
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_bad_index_is_a_domain_error(entry, bad):
+    with pytest.raises(DomainError):
+        ENTRIES[entry](bad)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_good_index_is_accepted(entry):
+    # so each rejection above comes from the slot under test, not from the other arguments
+    ENTRIES[entry](3)

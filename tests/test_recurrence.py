@@ -148,3 +148,125 @@ class TestClosedFormsDoNotWalk:
         argv = ["verify", "--catalog", "tribonacci", "--m", "5000", "--depth", "8"]
         assert cli.main(argv) == 0
         assert "result\tPASS" in capsys.readouterr().out
+
+
+def walk_reference(c, head, m, r, count):
+    """The stride by a forward walk from a_0 in the data's own domain."""
+    last = r + (count - 1) * m
+    return recurrence._extend(c, list(head), max(last, len(head) - 1))[r : last + 1 : m]
+
+
+def matrix_reference(c, head, m, r, count):
+    """The stride off the last rows of companion-matrix powers."""
+    spec = RecurrenceSpec(CoeffVector(c), tuple(head))
+    return [head[i] if i < len(head) else by_matrix(spec, i) for i in range(r, r + count * m, m)]
+
+
+class TestRationalLift:
+    """Rational scalar data runs the engine on b_n = e*D^n*a_n, in ints."""
+
+    def test_against_walk_and_matrix(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # whole Fractions such as 4/2 among them; zero only where allowed
+        fractions = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3, 4, 6]))
+        ints = st.integers(-3, 3)
+
+        @st.composite
+        def cases(draw):
+            d = draw(st.integers(1, 5))
+            where = draw(st.sampled_from(["coeffs", "head", "both"]))
+            scalar = fractions if where in ("coeffs", "both") else ints
+            c = [draw(scalar) for _ in range(d - 1)]
+            c.append(draw(scalar.filter(bool)))
+            if draw(st.booleans()):  # zero inner coefficients
+                c[: d - 1] = [0 * ci for ci in c[: d - 1]]
+            scalar = fractions if where in ("head", "both") else ints
+            head = [draw(scalar) for _ in range(d)]
+            if draw(st.booleans()):  # an all-zero head
+                head = [0 * a for a in head]
+            if where == "head" and not any(isinstance(a, Fraction) for a in head):
+                head[-1] = Fraction(head[-1])
+            # (m, r, count) walked (last index below the cutoff) and jumped
+            m = draw(st.one_of(st.integers(1, 3), st.integers(60, 130)))
+            r = draw(st.one_of(st.integers(0, 6), st.integers(_JUMP_CUTOFF - 8, _JUMP_CUTOFF + 8)))
+            return tuple(c), tuple(head), m, r, draw(st.integers(1, 4))
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(cases())
+        def check(case):
+            got = _stride_terms(*case)
+            assert got == walk_reference(*case)
+            assert got == matrix_reference(*case)
+
+        check()
+
+    def test_types(self):
+        spec = RecurrenceSpec(CoeffVector((Fraction(1, 2), 1)), (0, Fraction(4, 2)))
+        c, head = spec.coeffs.c, spec.initial
+        # the initial terms come back as given, walked and jumped; every later term is a Fraction
+        walked = _stride_terms(c, head, 1, 0, 5)
+        assert walked[:2] == list(head) and [type(t) for t in walked] == [int] + [Fraction] * 4
+        jumped = _stride_terms(c, head, 600, 0, 2)
+        assert jumped[0] == 0 and [type(t) for t in jumped] == [int, Fraction]
+        assert all(type(t) is Fraction for t in seq_window(spec, 600, 4))
+        # integer data stays integer, walked and jumped
+        for start in (0, 600):
+            assert all(type(t) is int for t in seq_window(SPECS["int-d3"], start, 5))
+            assert all(type(t) is int for t in _stride_terms((1, 1), (0, 1), 3, start, 4))
+
+
+    def test_poly_with_a_fraction_is_not_lifted(self):
+        c, head = (C1, C2), (Fraction(1, 2), 1)
+        for m, r, count in [(1, 0, 5), (1, _JUMP_CUTOFF, 1)]:
+            assert _stride_terms(c, head, m, r, count) == walk_reference(c, head, m, r, count)
+
+
+class TestRationalSpecsStayIntegral:
+    """No Fraction from scalar data reaches the residue arithmetic or a walk step."""
+
+    @pytest.fixture
+    def no_fractions(self, monkeypatch):
+        def has_fraction(*groups):
+            return any(isinstance(v, Fraction) for group in groups for v in group)
+
+        def guard(name, real):
+            def guarded(*args):
+                if has_fraction(*args):
+                    raise AssertionError(f"a Fraction reached {name}")
+                return real(*args)
+
+            return guarded
+
+        real_extend = recurrence._extend
+
+        def guarded_extend(c, terms, upto):
+            # seq_range and lucas_transform call it with nothing left to walk
+            if len(terms) <= upto and has_fraction(c, terms):
+                raise AssertionError("a Fraction reached the forward walk")
+            return real_extend(c, terms, upto)
+
+        monkeypatch.setattr(recurrence, "_mulmod", guard("_mulmod", recurrence._mulmod))
+        monkeypatch.setattr(recurrence, "_reduce", guard("_reduce", recurrence._reduce))
+        for module in (recurrence, lucas, sums):
+            monkeypatch.setattr(module, "_extend", guarded_extend)
+
+    SPEC = RecurrenceSpec(CoeffVector((Fraction(5, 2), -1, 1)), (1, Fraction(1, 2), 3))
+
+    @pytest.mark.parametrize("n", [0, 7, _JUMP_CUTOFF - 1, _JUMP_CUTOFF, 3000])
+    def test_calls(self, no_fractions, n):
+        spec = self.SPEC
+        assert seq_eval(spec, n) == by_matrix(spec, n)
+        assert partial_sum_closed(spec, n) == sum(seq_window(spec, 0, n + 1))
+        m = max(n // 2, 1)
+        gv = gamma_coefficients(spec.coeffs, m)
+        assert gv.coeffs == char_poly_of_power(spec.coeffs, m)
+        sub = subseq_recurrence(spec, m, 3)
+        assert sub.initial == tuple(seq_eval(spec, m * i + 3) for i in range(3))
+        assert progression.verify_slice(spec, m, 3, depth=8).passed
+
+    def test_guard_bites(self, no_fractions):
+        with pytest.raises(AssertionError):
+            recurrence._xpow(self.SPEC.coeffs.c, 5)
+        with pytest.raises(AssertionError):
+            seq_range(self.SPEC, 0, 10)
