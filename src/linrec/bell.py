@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-from .kernel import DomainError, _check_index, binomial, lower_like
+from .kernel import _check_index, binomial, lower_like
 
 
 class SizeLimit(ValueError):
@@ -69,8 +69,8 @@ def bell_truncated3(m: int, j: int, x1, x2, x3):
     correspond to partitions and are skipped.  Rational scalars (from the
     1/2! and 1/3! normalizations) cancel in the total.
     """
-    if m < 0 or j < 0:
-        raise DomainError(f"bell_truncated3 needs m, j >= 0, got ({m}, {j})")
+    _check_index(m, "m")
+    _check_index(j, "j")
     if j > m:
         return 0
     total = 0
@@ -111,8 +111,8 @@ def set_partition_oracle(n: int, k: int, x):
     Deliberately naive; it exists to check bell_partial, so it shares nothing
     with the recurrence.  Enumeration is capped at n = 10.
     """
-    if n < 0 or k < 0:
-        raise DomainError(f"set_partition_oracle needs n, k >= 0, got ({n}, {k})")
+    _check_index(n, "n")
+    _check_index(k, "k")
     if n > _ORACLE_LIMIT:
         raise SizeLimit(f"set enumeration capped at n = {_ORACLE_LIMIT}, got {n}")
     if n == 0:

@@ -4,6 +4,11 @@ Subcommands: eval, lucas, gamma, sum, subsum, verify, catalog.  stdout
 carries data only (tab-delimited lines, or one JSON object with --json, all
 numbers as decimal strings); diagnostics go to stderr.  Exit codes: 0 ok,
 1 verification failure, 2 parse error, 3 domain error, 4 degenerate divisor.
+
+Each subcommand builds one record of the library's results and prints it
+once.  Every ring value in it is converted once, when the record is built:
+to its JSON payload with --json, else to its text form.  The JSON output is
+the record itself; the text lines are read off that same record.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .bell import SizeLimit
 from .kernel import (
     DomainError,
     Poly,
+    _check_index,
     scalar_from_str,
     scalar_to_str,
     value_to_json,
@@ -26,7 +32,7 @@ from .lucas import UnknownFamily, lucas_transform
 from .progression import SliceReport, gamma_coefficients, subseq_recurrence, verify_slice
 from .recurrence import CoeffVector, InvalidCoeffs, RecurrenceSpec, seq_eval, seq_range
 from .sequences import UnknownName, catalog_get, catalog_names
-from .sums import DegenerateDivisor, partial_sum_closed, partial_sum_form
+from .sums import DegenerateDivisor, partial_sum_form
 
 _MAX_DEPTH = 10_000
 _RANGE = re.compile(r"^(\d+)\.\.(\d+)$")
@@ -86,12 +92,18 @@ def _spec(parser: argparse.ArgumentParser, args) -> RecurrenceSpec:
         parser.error(str(exc))
 
 
-def _emit(args, lines: list[str], payload: dict) -> None:
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for line in lines:
-            print(line)
+def _print_record(args, record: dict, lines) -> None:
+    """Print the record: as one JSON object with --json, else as the text lines read off it."""
+    print(json.dumps(record) if args.json else "\n".join(lines(record)))
+
+
+def _render(args):
+    """The one conversion each ring value gets: its JSON payload with --json, else its text."""
+    return value_to_json if args.json else _fmt
+
+
+def _indexed(values, start: int) -> list[str]:
+    return [f"{i}\t{v}" for i, v in enumerate(values, start)]
 
 
 # ---------------------------------------------------------------------------
@@ -102,20 +114,18 @@ def _cmd_eval(parser, args) -> int:
     spec = _spec(parser, args)
     if (args.n is None) == (args.range is None):
         parser.error("eval needs exactly one of --n or --range")
+    render = _render(args)
     if args.n is not None:
-        value = seq_eval(spec, args.n)
-        _emit(args, [_fmt(value)], {"command": "eval", "n": args.n, "value": value_to_json(value)})
+        record = {"command": "eval", "n": args.n, "value": render(seq_eval(spec, args.n))}
+        _print_record(args, record, lambda rec: [rec["value"]])
         return 0
     match = _RANGE.match(args.range)
     if not match:
         parser.error(f"cannot parse --range {args.range!r}: expected A..B")
     lo, hi = int(match.group(1)), int(match.group(2))
-    terms = seq_range(spec, lo, hi)
-    _emit(
-        args,
-        [f"{lo + i}\t{_fmt(t)}" for i, t in enumerate(terms)],
-        {"command": "eval", "from": lo, "to": hi, "terms": [value_to_json(t) for t in terms]},
-    )
+    terms = [render(t) for t in seq_range(spec, lo, hi)]
+    record = {"command": "eval", "from": lo, "to": hi, "terms": terms}
+    _print_record(args, record, lambda rec: _indexed(rec["terms"], rec["from"]))
     return 0
 
 
@@ -123,12 +133,10 @@ def _cmd_lucas(parser, args) -> int:
     coeffs = _coeff_vector(parser, args)
     if args.N is None:
         parser.error("lucas needs --N")
-    terms = lucas_transform(coeffs, args.N).terms
-    _emit(
-        args,
-        [f"{n}\t{_fmt(t)}" for n, t in enumerate(terms)],
-        {"command": "lucas", "N": args.N, "terms": [value_to_json(t) for t in terms]},
-    )
+    render = _render(args)
+    terms = [render(t) for t in lucas_transform(coeffs, args.N).terms]
+    record = {"command": "lucas", "N": args.N, "terms": terms}
+    _print_record(args, record, lambda rec: _indexed(rec["terms"], 0))
     return 0
 
 
@@ -137,48 +145,44 @@ def _cmd_gamma(parser, args) -> int:
     if args.m is None:
         parser.error("gamma needs --m")
     gv = gamma_coefficients(coeffs, args.m)
-    _emit(
-        args,
-        [f"{k}\t{_fmt(g)}" for k, g in enumerate(gv.gamma, start=1)],
-        {
-            "command": "gamma",
-            "m": gv.m,
-            "d": gv.d,
-            "gamma": [value_to_json(g) for g in gv.gamma],
-        },
-    )
+    render = _render(args)
+    record = {"command": "gamma", "m": gv.m, "d": gv.d, "gamma": [render(g) for g in gv.gamma]}
+    _print_record(args, record, lambda rec: _indexed(rec["gamma"], 1))
     return 0
 
 
-def _sum_lines(prefix_pairs, form, value) -> list[str]:
-    lines = [f"sum\t{_fmt(value)}"]
-    lines += [f"{name}\t{text}" for name, text in prefix_pairs]
-    lines += [
-        f"divisor\t{_fmt(form.divisor)}",
-        "weights\t" + " ".join(_fmt(w) for w in form.weights),
-        f"constant\t{_fmt(form.constant)}",
+def _sum_record(args, spec: RecurrenceSpec, head: dict) -> dict:
+    """The closed partial sum of spec over 0..--n and its form, after the head fields.
+
+    The form is built once and applied to the look-ahead terms here, as
+    partial_sum_closed would; subsum also lists its slice's gamma.
+    """
+    render = _render(args)
+    form = partial_sum_form(spec)
+    _check_index(args.n, "n")
+    value = form.evaluate(seq_range(spec, args.n + 1, args.n + spec.order))
+    record = {**head, "n": args.n, "sum": render(value)}
+    if head["command"] == "subsum":
+        record["gamma"] = [render(g) for g in spec.coeffs.c]
+    record["divisor"] = render(form.divisor)
+    record["weights"] = [render(w) for w in form.weights]
+    record["constant"] = render(form.constant)
+    return record
+
+
+def _sum_lines(record: dict) -> list[str]:
+    return [
+        f"{key}\t{' '.join(value) if isinstance(value, list) else value}"
+        for key, value in record.items()
+        if key in ("sum", "gamma", "divisor", "weights", "constant")
     ]
-    return lines
 
 
 def _cmd_sum(parser, args) -> int:
     spec = _spec(parser, args)
     if args.n is None:
         parser.error("sum needs --n")
-    form = partial_sum_form(spec)
-    value = partial_sum_closed(spec, args.n)
-    _emit(
-        args,
-        _sum_lines([], form, value),
-        {
-            "command": "sum",
-            "n": args.n,
-            "sum": value_to_json(value),
-            "divisor": value_to_json(form.divisor),
-            "weights": [value_to_json(w) for w in form.weights],
-            "constant": value_to_json(form.constant),
-        },
-    )
+    _print_record(args, _sum_record(args, spec, {"command": "sum"}), _sum_lines)
     return 0
 
 
@@ -187,24 +191,8 @@ def _cmd_subsum(parser, args) -> int:
     if args.m is None or args.n is None:
         parser.error("subsum needs --m and --n")
     sub = subseq_recurrence(spec, args.m, args.r)
-    form = partial_sum_form(sub)
-    value = partial_sum_closed(sub, args.n)
-    gamma_text = " ".join(_fmt(g) for g in sub.coeffs.c)
-    _emit(
-        args,
-        _sum_lines([("gamma", gamma_text)], form, value),
-        {
-            "command": "subsum",
-            "m": args.m,
-            "r": args.r,
-            "n": args.n,
-            "sum": value_to_json(value),
-            "gamma": [value_to_json(g) for g in sub.coeffs.c],
-            "divisor": value_to_json(form.divisor),
-            "weights": [value_to_json(w) for w in form.weights],
-            "constant": value_to_json(form.constant),
-        },
-    )
+    record = _sum_record(args, sub, {"command": "subsum", "m": args.m, "r": args.r})
+    _print_record(args, record, _sum_lines)
     return 0
 
 
@@ -222,27 +210,28 @@ def _verify_record(name: str, report: SliceReport) -> dict:
     }
 
 
-def _verify_lines(report: dict) -> list[str]:
-    check = "ok" if not report["violations"] else "violations at " + ",".join(
-        str(n) for n in report["violations"]
-    )
-    return [
-        f"name\t{report['name']}",
-        f"gamma\t" + " ".join(
-            v if isinstance(v, str) else json.dumps(v) for v in report["gamma"]
-        ),
-        f"charpoly\t{report['charpoly']}",
-        f"recurrence\t{check} ({report['depth']} terms)",
-        f"fit\t{report['fit']}",
-        f"result\t{report['result']}",
-    ]
+def _verify_lines(record: dict) -> list[str]:
+    lines = []
+    for report in record["reports"]:
+        check = "ok" if not report["violations"] else "violations at " + ",".join(
+            str(n) for n in report["violations"]
+        )
+        lines += [
+            f"name\t{report['name']}",
+            f"gamma\t" + " ".join(
+                v if isinstance(v, str) else json.dumps(v) for v in report["gamma"]
+            ),
+            f"charpoly\t{report['charpoly']}",
+            f"recurrence\t{check} ({report['depth']} terms)",
+            f"fit\t{report['fit']}",
+            f"result\t{report['result']}",
+        ]
+    return lines
 
 
 def _cmd_verify(parser, args) -> int:
     if args.m is None:
         parser.error("verify needs --m")
-    if not 1 <= args.depth <= _MAX_DEPTH:
-        parser.error(f"--depth must be in 1..{_MAX_DEPTH}")
     if args.all_catalog:
         if args.coeffs or args.catalog or args.init:
             parser.error("--all-catalog replaces --coeffs/--init/--catalog")
@@ -250,38 +239,46 @@ def _cmd_verify(parser, args) -> int:
         specs = [(name, catalog_get(name).spec) for name in catalog_names() if "(" not in name]
     else:
         specs = [(args.catalog if args.catalog is not None else "inline", _spec(parser, args))]
+    # verify_slice rejects depth < 1; the cap bounds the work it is asked for
+    if args.depth > _MAX_DEPTH:
+        raise DomainError(f"--depth must be at most {_MAX_DEPTH}, got {args.depth}")
     reports = [
         _verify_record(name, verify_slice(spec, args.m, args.r, args.depth)) for name, spec in specs
     ]
-    lines = [line for report in reports for line in _verify_lines(report)]
-    _emit(args, lines, {"command": "verify", "reports": reports})
+    _print_record(args, {"command": "verify", "reports": reports}, _verify_lines)
     return 0 if all(report["result"] == "PASS" for report in reports) else 1
 
 
+def _catalog_lines(record: dict) -> list[str]:
+    return [
+        f"{e['name']}\t-\t-\t(family)"
+        if e.get("family")
+        else f"{e['name']}\t{e['oeis'] or '-'}\t{e['order']}\t{','.join(e['coeffs'])}"
+        for e in record["entries"]
+    ]
+
+
 def _cmd_catalog(parser, args) -> int:
-    lines = []
+    render = _render(args)
     records = []
     for name in catalog_names():
         if "(" in name:
-            lines.append(f"{name}\t-\t-\t(family)")
             records.append({"name": name, "family": True})
             continue
         entry = catalog_get(name)
-        coeffs = ",".join(_fmt(c) for c in entry.spec.coeffs.c)
-        lines.append(f"{name}\t{entry.oeis or '-'}\t{entry.spec.order}\t{coeffs}")
         records.append(
             {
                 "name": entry.name,
                 "oeis": entry.oeis,
                 "order": entry.spec.order,
-                "coeffs": [value_to_json(c) for c in entry.spec.coeffs.c],
-                "initial": [value_to_json(a) for a in entry.spec.initial],
-                "prefix": [value_to_json(p) for p in entry.prefix],
+                "coeffs": [render(c) for c in entry.spec.coeffs.c],
+                "initial": [render(a) for a in entry.spec.initial],
+                "prefix": [render(p) for p in entry.prefix],
                 "hat_of": entry.hat_of,
                 "notes": entry.notes,
             }
         )
-    _emit(args, lines, {"command": "catalog", "entries": records})
+    _print_record(args, {"command": "catalog", "entries": records}, _catalog_lines)
     return 0
 
 

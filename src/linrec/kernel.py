@@ -34,7 +34,7 @@ class DomainError(ValueError):
 
 
 def _check_index(value, name: str, least: int = 0) -> None:
-    """Reject an index argument (n, k, m, r, depth, upto) that is not an int >= least, or is a bool."""
+    """Reject an index argument (n, k, j, m, r, depth, upto, exponent) that is not an int >= least, or is a bool."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise DomainError(f"expected an int {name} >= {least}, got {value!r}")
 

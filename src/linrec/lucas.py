@@ -49,6 +49,7 @@ class LucasTransform:
 
     def extended(self, upto: int) -> "LucasTransform":
         """A transform carrying at least terms 0..upto (self if already long enough)."""
+        _check_index(upto, "upto")
         if upto < len(self.terms):
             return self
         terms = _extend(self.coeffs.c, _newton_head(self.coeffs.c, list(self.terms), upto), upto)
@@ -58,7 +59,6 @@ class LucasTransform:
 def lucas_transform(coeffs, upto: int) -> LucasTransform:
     """Trace terms hat_0..hat_upto via Newton's identities plus the recurrence."""
     cv = as_coeff_vector(coeffs)
-    _check_index(upto, "upto")
     return LucasTransform(cv, (ring_const(cv.d, ring_exemplar(cv.c)),)).extended(upto)
 
 
@@ -90,8 +90,7 @@ def lucas_transform_bell_prefix(coeffs, upto: int) -> list:
 
 def k_lucas_number(k: int, m: int) -> int:
     """m-th term of the trace sequence of coefficients (k, 1)."""
-    if m < 1:
-        raise DomainError(f"closed forms start at m = 1, got {m}")
+    _check_index(m, "m", 1)
     total = Fraction(0)
     for j in range(0, m):
         if 2 * j > m:
@@ -102,8 +101,7 @@ def k_lucas_number(k: int, m: int) -> int:
 
 def tribonacci_hat_number(m: int) -> int:
     """m-th term of the trace sequence of coefficients (1, 1, 1)."""
-    if m < 1:
-        raise DomainError(f"closed forms start at m = 1, got {m}")
+    _check_index(m, "m", 1)
     total = Fraction(0)
     for j in range(0, m):
         for l in range((j + 1) // 2, j + 1):
@@ -115,8 +113,7 @@ def tribonacci_hat_number(m: int) -> int:
 
 def perrin_number(m: int) -> int:
     """m-th term of the trace sequence of coefficients (0, 1, 1)."""
-    if m < 1:
-        raise DomainError(f"closed forms start at m = 1, got {m}")
+    _check_index(m, "m", 1)
     total = Fraction(0)
     for j in range((m + 1) // 2, m):
         if 2 * j - m > m - j:
@@ -127,8 +124,7 @@ def perrin_number(m: int) -> int:
 
 def narayana_hat_number(m: int) -> int:
     """m-th term of the trace sequence of coefficients (1, 0, 1)."""
-    if m < 1:
-        raise DomainError(f"closed forms start at m = 1, got {m}")
+    _check_index(m, "m", 1)
     total = Fraction(0)
     for j in range(0, (m - 1) // 2 + 1):
         if 3 * j > m:

@@ -18,7 +18,7 @@ from fractions import Fraction
 import math
 from operator import mul
 
-from .kernel import DomainError
+from .kernel import DomainError, _check_index
 from .recurrence import CoeffVector, as_coeff_vector
 
 
@@ -79,8 +79,7 @@ def mat_pow(mat: list[list], exponent: int) -> list[list]:
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise DomainError("mat_pow needs a square matrix")
-    if exponent < 0:
-        raise DomainError(f"mat_pow needs a nonnegative exponent, got {exponent}")
+    _check_index(exponent, "exponent")
     result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     base = mat
     while exponent:
@@ -156,8 +155,7 @@ def char_poly_of_power(coeffs, m: int) -> CoeffVector:
     elementary symmetric function of the m-th powers of the roots.
     """
     cv = as_coeff_vector(coeffs)
-    if m < 1:
-        raise DomainError(f"char_poly_of_power needs m >= 1, got {m}")
+    _check_index(m, "m", 1)
     cp = char_poly(mat_pow(companion(cv), m))
     d = cv.d
     return CoeffVector(tuple(-cp.coeffs[d - k] for k in range(1, d + 1)))

@@ -1,8 +1,12 @@
 import json
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
+import linrec
 from linrec import cli
 from linrec.kernel import scalar_from_str
 from linrec.lucas import lucas_transform
@@ -102,28 +106,6 @@ class TestGamma:
         got = tuple(value_from_json(v) for v in blob["gamma"])
         assert got == gamma_coefficients(tuple(Poly.variables(3)), 2).gamma
 
-    def test_symbolic_golden_stdout(self, capsys):
-        # byte-for-byte output of the Fraction-coefficient Poly kernel
-        code, out, _ = run_cli(capsys, "gamma", "--symbolic", "--d", "3", "--m", "4")
-        assert code == 0
-        assert out == (
-            "1\tc1^4 + 4*c1^2*c2 + 4*c1*c3 + 2*c2^2\n"
-            "2\t-2*c1^2*c3^2 + 4*c1*c2^2*c3 - c2^4 + 4*c2*c3^2\n"
-            "3\tc3^4\n"
-        )
-        code, out, _ = run_cli(capsys, "gamma", "--symbolic", "--d", "3", "--m", "4", "--json")
-        assert code == 0
-        assert out == (
-            '{"command": "gamma", "m": 4, "d": 3, "gamma": ['
-            '{"nvars": 3, "terms": [{"exponents": [4, 0, 0], "coefficient": "1"}, '
-            '{"exponents": [2, 1, 0], "coefficient": "4"}, {"exponents": [1, 0, 1], "coefficient": "4"}, '
-            '{"exponents": [0, 2, 0], "coefficient": "2"}]}, '
-            '{"nvars": 3, "terms": [{"exponents": [2, 0, 2], "coefficient": "-2"}, '
-            '{"exponents": [1, 2, 1], "coefficient": "4"}, {"exponents": [0, 4, 0], "coefficient": "-1"}, '
-            '{"exponents": [0, 1, 2], "coefficient": "4"}]}, '
-            '{"nvars": 3, "terms": [{"exponents": [0, 0, 4], "coefficient": "1"}]}]}\n'
-        )
-
 
 class TestSums:
     def test_sum(self, capsys):
@@ -188,31 +170,115 @@ class TestVerify:
         assert [scalar_from_str(v) for v in report["gamma"]] == [4, -3, 1]
 
 
-# `linrec verify` stdout, text and --json, recorded before verification moved into the library
-VERIFY_GOLDENS = json.loads((Path(__file__).parent / "verify_goldens.json").read_text())
-RATIONAL_GOLDENS = json.loads((Path(__file__).parent / "rational_goldens.json").read_text())
+# stdout of every subcommand, text and --json; each case was recorded before
+# a change to how the CLI computes or prints it, and must not move
+GOLDENS = json.loads((Path(__file__).parent / "cli_goldens.json").read_text())
 
 
-class TestVerifyGoldens:
-    @pytest.mark.parametrize("case", sorted(VERIFY_GOLDENS))
+class TestGoldens:
+    @pytest.mark.parametrize("case", sorted(GOLDENS))
     @pytest.mark.parametrize("form", ["text", "json"])
     def test_stdout_unchanged(self, capsys, case, form):
-        golden = VERIFY_GOLDENS[case]
+        golden = GOLDENS[case]
         code, out, _ = run_cli(capsys, *golden["argv"], *(["--json"] if form == "json" else []))
         assert code == 0
         assert out == golden[form]
 
 
-class TestRationalGoldens:
-    """eval, gamma, sum, subsum and verify on Fraction specs print what they always printed."""
+class TestOneConversionPerValue:
+    """Each printed value is turned into decimal once, in text and in --json."""
 
-    @pytest.mark.parametrize("case", sorted(RATIONAL_GOLDENS))
+    @pytest.mark.parametrize(
+        "argv, values",
+        [
+            pytest.param(["eval", "--catalog", "tribonacci", "--n", "500"], 1, id="eval_n"),
+            pytest.param(["eval", "--coeffs=1/2,1", "--init=0,1", "--range", "10..30"], 21, id="eval_range"),
+            pytest.param(["lucas", "--coeffs", "1,1,1", "--N", "20"], 21, id="lucas"),
+            pytest.param(["gamma", "--catalog", "padovan", "--m", "7"], 3, id="gamma"),
+            # sum, divisor, three weights, constant
+            pytest.param(["sum", "--catalog", "tribonacci", "--n", "40"], 6, id="sum"),
+            # the same plus the slice's three gamma
+            pytest.param(["subsum", "--catalog", "tribonacci", "--m", "5", "--r", "2", "--n", "6"], 9, id="subsum"),
+        ],
+    )
     @pytest.mark.parametrize("form", ["text", "json"])
-    def test_stdout_unchanged(self, capsys, case, form):
-        golden = RATIONAL_GOLDENS[case]
-        code, out, _ = run_cli(capsys, *golden["argv"], *(["--json"] if form == "json" else []))
+    def test_numeric(self, capsys, monkeypatch, argv, values, form):
+        calls = self._count(monkeypatch)
+        code, _, _ = run_cli(capsys, *argv, *(["--json"] if form == "json" else []))
         assert code == 0
-        assert out == golden[form]
+        assert len(calls) == values
+
+    def test_symbolic_gamma(self, capsys, monkeypatch):
+        # text prints each Poly once; --json converts each of its coefficients once
+        from linrec import Poly
+
+        gamma = gamma_coefficients(tuple(Poly.variables(2)), 3).gamma
+        calls = self._count(monkeypatch)
+        run_cli(capsys, "gamma", "--symbolic", "--d", "2", "--m", "3")
+        assert [type(v) for v in calls] == [Poly] * len(gamma)
+        calls.clear()
+        run_cli(capsys, "gamma", "--symbolic", "--d", "2", "--m", "3", "--json")
+        assert len(calls) == sum(len(g.terms) for g in gamma)
+
+    @staticmethod
+    def _count(monkeypatch) -> list:
+        """Record every scalar_to_str and Poly.__str__ call, where the CLI and kernel look them up."""
+        from linrec import Poly, kernel
+
+        calls = []
+        to_str, poly_str = kernel.scalar_to_str, Poly.__str__
+
+        def counted_scalar(x):
+            calls.append(x)
+            return to_str(x)
+
+        def counted_poly(self):
+            calls.append(self)
+            return poly_str(self)
+
+        monkeypatch.setattr(kernel, "scalar_to_str", counted_scalar)
+        monkeypatch.setattr(cli, "scalar_to_str", counted_scalar)
+        monkeypatch.setattr(Poly, "__str__", counted_poly)
+        return calls
+
+
+class TestEntryPoint:
+    """The installed entry point and ``python -m linrec.cli`` print what main prints."""
+
+    @staticmethod
+    def _module(*argv):
+        env = dict(os.environ)
+        src = str(Path(linrec.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "linrec.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    def test_module_matches_main(self, capsys):
+        # ~5200 digits: past the interpreter's default int-to-str limit of 4300
+        argv = ["eval", "--catalog", "fibonacci", "--n", "25000"]
+        proc = self._module(*argv)
+        assert proc.returncode == 0, proc.stderr
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(out) > 5000
+        assert proc.stdout == out
+
+    def test_module_nonzero_exit(self):
+        proc = self._module("eval", "--catalog", "nope", "--n", "3")
+        assert proc.returncode == 3
+        assert proc.stdout == "" and proc.stderr.startswith("error:")
+
+    def test_run_exits_with_main_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["linrec", "eval", "--catalog", "nope", "--n", "3"])
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 3
+        monkeypatch.setattr(sys, "argv", ["linrec", "eval", "--catalog", "fibonacci", "--n", "10"])
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "55\n"
 
 
 class TestCatalogCmd:
@@ -272,6 +338,28 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "r >= 0" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sum", "--catalog", "fibonacci", "--n=-1"],
+            ["subsum", "--catalog", "fibonacci", "--m", "2", "--n=-1"],
+        ],
+        ids=["sum", "subsum"],
+    )
+    def test_negative_n(self, capsys, argv):
+        # the CLI applies the closed form itself, so it checks n itself
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "n >= 0" in err
+
+    @pytest.mark.parametrize("depth", ["0", "20000"])
+    def test_verify_depth_out_of_range(self, capsys, depth):
+        code, out, err = run_cli(capsys, "verify", "--catalog", "fibonacci", "--m", "2", "--depth", depth)
+        assert code == 3
+        assert out == ""
+        assert "depth" in err
 
     def test_symbolic_requires_d(self, capsys):
         with pytest.raises(SystemExit) as exc:

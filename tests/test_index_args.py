@@ -1,12 +1,21 @@
-"""Every index argument (n, k, m, r, depth, upto) must be an int, not a bool, and in range."""
+"""Every index argument (n, k, j, m, r, depth, upto, exponent) must be an int, not a bool, and in range."""
 
 from fractions import Fraction
 
 import pytest
 
 from linrec import CoeffVector, DomainError, RecurrenceSpec
-from linrec.bell import bell_partial, bell_table
-from linrec.lucas import lucas_transform, lucas_transform_bell_prefix
+from linrec.bell import bell_partial, bell_table, bell_truncated3, set_partition_oracle
+from linrec.lucas import (
+    hat_closed_form,
+    k_lucas_number,
+    lucas_transform,
+    lucas_transform_bell_prefix,
+    narayana_hat_number,
+    perrin_number,
+    tribonacci_hat_number,
+)
+from linrec.oracle import char_poly_of_power, companion, mat_pow
 from linrec.progression import gamma_coefficients, subseq_recurrence, verify_slice
 from linrec.recurrence import seq_eval, seq_range, seq_window
 from linrec.sums import invert_partial_sum, invert_sequence, partial_sum_closed, progression_sum
@@ -37,6 +46,18 @@ ENTRIES = {
     "bell_table.upto": lambda v: bell_table(v, (1, 1)),
     "bell_partial.n": lambda v: bell_partial(v, 1, (1, 1)),
     "bell_partial.k": lambda v: bell_partial(3, v, (1, 1)),
+    "bell_truncated3.m": lambda v: bell_truncated3(v, 1, 1, 1, 1),
+    "bell_truncated3.j": lambda v: bell_truncated3(3, v, 1, 1, 1),
+    "set_partition_oracle.n": lambda v: set_partition_oracle(v, 1, (1, 1, 1)),
+    "set_partition_oracle.k": lambda v: set_partition_oracle(3, v, (1, 1, 1)),
+    "LucasTransform.extended.upto": lambda v: lucas_transform((1, 1), 2).extended(v),
+    "k_lucas_number.m": lambda v: k_lucas_number(1, v),
+    "tribonacci_hat_number.m": lambda v: tribonacci_hat_number(v),
+    "perrin_number.m": lambda v: perrin_number(v),
+    "narayana_hat_number.m": lambda v: narayana_hat_number(v),
+    "hat_closed_form.m": lambda v: hat_closed_form("tribonacci", v),
+    "mat_pow.exponent": lambda v: mat_pow(companion((1, 1)), v),
+    "char_poly_of_power.m": lambda v: char_poly_of_power((1, 1), v),
 }
 BAD = [2.5, 3.0, True, Fraction(3), "3", None, -1]
 
