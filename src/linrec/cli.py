@@ -5,6 +5,11 @@ carries data only (tab-delimited lines, or one JSON object with --json, all
 numbers as decimal strings); diagnostics go to stderr.  Exit codes: 0 ok,
 1 verification failure, 2 parse error, 3 domain error, 4 degenerate divisor.
 
+The parser holds the parse rules: the flags each subcommand requires, one
+source per call, and the conversion of --coeffs, --init and --range, so a
+malformed call exits 2 before any work.  The library holds the range rules:
+an argument outside its domain raises DomainError, which exits 3.
+
 Each subcommand builds one record of the library's results and prints it
 once.  Every ring value in it is converted once, when the record is built:
 to its JSON payload with --json, else to its text form.  The JSON output is
@@ -34,7 +39,6 @@ from .recurrence import CoeffVector, InvalidCoeffs, RecurrenceSpec, seq_eval, se
 from .sequences import UnknownName, catalog_get, catalog_names
 from .sums import DegenerateDivisor, partial_sum_form
 
-_MAX_DEPTH = 10_000
 _RANGE = re.compile(r"^(\d+)\.\.(\d+)$")
 _NEGATIVE = re.compile(r"^-\d")
 
@@ -46,48 +50,47 @@ def _fmt(value) -> str:
     return scalar_to_str(value)
 
 
-def _scalars(parser: argparse.ArgumentParser, text: str, what: str) -> tuple:
+def _scalars(text: str) -> tuple:
+    """--init, and --coeffs before its own check: comma-separated integers or p/q."""
     try:
         return tuple(scalar_from_str(tok) for tok in text.split(","))
     except (ValueError, ZeroDivisionError):
-        parser.error(f"cannot parse {what} {text!r}: expected comma-separated integers or p/q")
+        raise argparse.ArgumentTypeError(
+            f"cannot parse {text!r}: expected comma-separated integers or p/q"
+        ) from None
 
 
-def _coeff_vector(parser: argparse.ArgumentParser, args) -> CoeffVector:
-    """Coefficients from --coeffs, --catalog, or --symbolic/--d."""
-    if getattr(args, "symbolic", False):
-        if args.coeffs not in (None, "c"):
-            parser.error("--symbolic takes coefficients as variables; use --d (and at most --coeffs c)")
-        if args.d is None:
-            parser.error("--symbolic needs --d to fix the order")
-        if args.d < 1:
-            parser.error("--d must be at least 1")
-        return CoeffVector(Poly.variables(args.d))
+def _coeffs(text: str) -> CoeffVector:
+    """--coeffs: a checked coefficient vector c1..cd."""
+    try:
+        return CoeffVector(_scalars(text))
+    except InvalidCoeffs as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _index_range(text: str) -> tuple[int, int]:
+    """--range: an inclusive index range A..B."""
+    match = _RANGE.match(text)
+    if not match:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}: expected A..B")
+    return int(match.group(1)), int(match.group(2))
+
+
+def _coeff_vector(args) -> CoeffVector:
+    """Coefficients from --coeffs or --catalog."""
     if args.catalog is not None:
         return catalog_get(args.catalog).spec.coeffs
-    if args.coeffs is None:
-        parser.error("need --coeffs or --catalog")
-    try:
-        return CoeffVector(_scalars(parser, args.coeffs, "--coeffs"))
-    except InvalidCoeffs as exc:
-        parser.error(str(exc))
+    return args.coeffs
 
 
 def _spec(parser: argparse.ArgumentParser, args) -> RecurrenceSpec:
     """Full spec from --coeffs/--init or --catalog."""
     if args.catalog is not None:
-        if args.init is not None:
-            parser.error("--init only applies to inline --coeffs")
         return catalog_get(args.catalog).spec
-    if args.coeffs is None:
-        parser.error("need --coeffs with --init, or --catalog")
     if args.init is None:
         parser.error("inline --coeffs needs matching --init")
     try:
-        return RecurrenceSpec(
-            CoeffVector(_scalars(parser, args.coeffs, "--coeffs")),
-            _scalars(parser, args.init, "--init"),
-        )
+        return RecurrenceSpec(args.coeffs, args.init)
     except InvalidCoeffs as exc:
         parser.error(str(exc))
 
@@ -112,17 +115,12 @@ def _indexed(values, start: int) -> list[str]:
 
 def _cmd_eval(parser, args) -> int:
     spec = _spec(parser, args)
-    if (args.n is None) == (args.range is None):
-        parser.error("eval needs exactly one of --n or --range")
     render = _render(args)
     if args.n is not None:
         record = {"command": "eval", "n": args.n, "value": render(seq_eval(spec, args.n))}
         _print_record(args, record, lambda rec: [rec["value"]])
         return 0
-    match = _RANGE.match(args.range)
-    if not match:
-        parser.error(f"cannot parse --range {args.range!r}: expected A..B")
-    lo, hi = int(match.group(1)), int(match.group(2))
+    lo, hi = args.range
     terms = [render(t) for t in seq_range(spec, lo, hi)]
     record = {"command": "eval", "from": lo, "to": hi, "terms": terms}
     _print_record(args, record, lambda rec: _indexed(rec["terms"], rec["from"]))
@@ -130,9 +128,7 @@ def _cmd_eval(parser, args) -> int:
 
 
 def _cmd_lucas(parser, args) -> int:
-    coeffs = _coeff_vector(parser, args)
-    if args.N is None:
-        parser.error("lucas needs --N")
+    coeffs = _coeff_vector(args)
     render = _render(args)
     terms = [render(t) for t in lucas_transform(coeffs, args.N).terms]
     record = {"command": "lucas", "N": args.N, "terms": terms}
@@ -141,9 +137,9 @@ def _cmd_lucas(parser, args) -> int:
 
 
 def _cmd_gamma(parser, args) -> int:
-    coeffs = _coeff_vector(parser, args)
-    if args.m is None:
-        parser.error("gamma needs --m")
+    if args.symbolic != (args.d is not None):
+        parser.error("--symbolic needs --d to fix the order, and --d needs --symbolic")
+    coeffs = CoeffVector(Poly.variables(args.d)) if args.symbolic else _coeff_vector(args)
     gv = gamma_coefficients(coeffs, args.m)
     render = _render(args)
     record = {"command": "gamma", "m": gv.m, "d": gv.d, "gamma": [render(g) for g in gv.gamma]}
@@ -180,16 +176,12 @@ def _sum_lines(record: dict) -> list[str]:
 
 def _cmd_sum(parser, args) -> int:
     spec = _spec(parser, args)
-    if args.n is None:
-        parser.error("sum needs --n")
     _print_record(args, _sum_record(args, spec, {"command": "sum"}), _sum_lines)
     return 0
 
 
 def _cmd_subsum(parser, args) -> int:
     spec = _spec(parser, args)
-    if args.m is None or args.n is None:
-        parser.error("subsum needs --m and --n")
     sub = subseq_recurrence(spec, args.m, args.r)
     record = _sum_record(args, sub, {"command": "subsum", "m": args.m, "r": args.r})
     _print_record(args, record, _sum_lines)
@@ -230,18 +222,11 @@ def _verify_lines(record: dict) -> list[str]:
 
 
 def _cmd_verify(parser, args) -> int:
-    if args.m is None:
-        parser.error("verify needs --m")
     if args.all_catalog:
-        if args.coeffs or args.catalog or args.init:
-            parser.error("--all-catalog replaces --coeffs/--init/--catalog")
         # family templates are not concrete entries
         specs = [(name, catalog_get(name).spec) for name in catalog_names() if "(" not in name]
     else:
         specs = [(args.catalog if args.catalog is not None else "inline", _spec(parser, args))]
-    # verify_slice rejects depth < 1; the cap bounds the work it is asked for
-    if args.depth > _MAX_DEPTH:
-        raise DomainError(f"--depth must be at most {_MAX_DEPTH}, got {args.depth}")
     reports = [
         _verify_record(name, verify_slice(spec, args.m, args.r, args.depth)) for name, spec in specs
     ]
@@ -286,11 +271,15 @@ def _cmd_catalog(parser, args) -> int:
 # parser assembly
 
 
-def _add_spec_flags(sub: argparse.ArgumentParser, init: bool = True) -> None:
-    sub.add_argument("--coeffs", help="comma-separated coefficients c1..cd (ints or p/q)")
+def _add_spec_flags(sub: argparse.ArgumentParser, init: bool = True, other: tuple = ()) -> None:
+    """The required source group, --coeffs | --catalog plus an optional (flag, help) switch; then --init."""
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--coeffs", type=_coeffs, help="comma-separated coefficients c1..cd (ints or p/q)")
+    source.add_argument("--catalog", help="use a catalog entry instead of inline values")
+    if other:
+        source.add_argument(other[0], action="store_true", help=other[1])
     if init:
-        sub.add_argument("--init", help="comma-separated initial terms a0..a(d-1)")
-    sub.add_argument("--catalog", help="use a catalog entry instead of inline values")
+        sub.add_argument("--init", type=_scalars, help="comma-separated initial terms a0..a(d-1)")
 
 
 @functools.cache
@@ -305,40 +294,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("eval", help="evaluate sequence terms")
     _add_spec_flags(p)
-    p.add_argument("--n", type=int, help="single term index")
-    p.add_argument("--range", help="inclusive index range A..B")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--n", type=int, help="single term index")
+    which.add_argument("--range", type=_index_range, help="inclusive index range A..B")
     p.set_defaults(handler=_cmd_eval)
 
     p = subs.add_parser("lucas", help="trace sequence of the coefficients")
     _add_spec_flags(p, init=False)
-    p.add_argument("--N", type=int, help="last index to print")
+    p.add_argument("--N", type=int, required=True, help="last index to print")
     p.set_defaults(handler=_cmd_lucas)
 
     p = subs.add_parser("gamma", help="subsequence recurrence coefficients for stride m")
-    _add_spec_flags(p, init=False)
-    p.add_argument("--m", type=int, help="stride")
-    p.add_argument("--symbolic", action="store_true", help="treat c1..cd as variables")
+    _add_spec_flags(p, init=False, other=("--symbolic", "treat c1..cd as variables"))
+    p.add_argument("--m", type=int, required=True, help="stride")
     p.add_argument("--d", type=int, help="order (with --symbolic)")
     p.set_defaults(handler=_cmd_gamma)
 
     p = subs.add_parser("sum", help="closed-form partial sum of the sequence")
     _add_spec_flags(p)
-    p.add_argument("--n", type=int, help="sum over indices 0..n")
+    p.add_argument("--n", type=int, required=True, help="sum over indices 0..n")
     p.set_defaults(handler=_cmd_sum)
 
     p = subs.add_parser("subsum", help="closed-form partial sum along a progression")
     _add_spec_flags(p)
-    p.add_argument("--m", type=int, help="stride")
+    p.add_argument("--m", type=int, required=True, help="stride")
     p.add_argument("--r", type=int, default=0, help="offset (default 0)")
-    p.add_argument("--n", type=int, help="sum over subsequence indices 0..n")
+    p.add_argument("--n", type=int, required=True, help="sum over subsequence indices 0..n")
     p.set_defaults(handler=_cmd_subsum)
 
     p = subs.add_parser("verify", help="cross-check the subsequence recurrence four ways")
-    _add_spec_flags(p)
-    p.add_argument("--m", type=int, help="stride")
+    _add_spec_flags(p, other=("--all-catalog", "verify every fixed catalog entry"))
+    p.add_argument("--m", type=int, required=True, help="stride")
     p.add_argument("--r", type=int, default=0, help="offset (default 0)")
     p.add_argument("--depth", type=int, default=40, help="subsequence terms to check (default 40)")
-    p.add_argument("--all-catalog", action="store_true", help="verify every fixed catalog entry")
     p.set_defaults(handler=_cmd_verify)
 
     p = subs.add_parser("catalog", help="list the registered sequences")
@@ -368,6 +356,8 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(_glue_lists(sys.argv[1:] if argv is None else list(argv)))
+    if getattr(args, "init", None) is not None and args.coeffs is None:
+        parser.error("--init only applies to inline --coeffs")
     try:
         return args.handler(parser, args)
     except DegenerateDivisor as exc:

@@ -187,14 +187,17 @@ class Poly:
 
     @classmethod
     def variable(cls, i: int, nvars: int) -> "Poly":
-        if not 0 <= i < nvars:
-            raise ValueError(f"variable index {i} out of range for nvars={nvars}")
+        _check_nvars(nvars)
+        _check_index(i, "i")
+        if i >= nvars:
+            raise DomainError(f"variable index {i} out of range for nvars={nvars}")
         exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exps: 1})
+        return cls._make(nvars, {exps: 1})
 
     @classmethod
     def variables(cls, nvars: int) -> tuple["Poly", ...]:
         """All ``nvars`` coordinate polynomials, in order."""
+        _check_nvars(nvars)
         return tuple(cls.variable(i, nvars) for i in range(nvars))
 
     # -- structure ---------------------------------------------------------
@@ -279,8 +282,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("Poly exponent must be a nonnegative integer")
+        _check_index(exponent, "exponent")
         result = Poly.const(1, self.nvars)
         base = self
         while exponent:

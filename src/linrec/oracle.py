@@ -112,7 +112,8 @@ class CharPoly:
 
     def elementary(self, k: int):
         """k-th elementary symmetric function of the eigenvalues: (-1)^k p_{d-k}."""
-        if not 0 <= k <= self.degree:
+        _check_index(k, "k")
+        if k > self.degree:
             raise DomainError(f"elementary index {k} outside 0..{self.degree}")
         value = self.coeffs[self.degree - k]
         return -value if k % 2 else value
@@ -167,8 +168,7 @@ def verify_recurrence(terms, coeffs, start: int | None = None) -> list[int]:
     d = cv.d
     if start is None:
         start = d
-    if start < d:
-        raise DomainError(f"verification can only start at n >= {d}, got {start}")
+    _check_index(start, "start", d)
     bad = []
     for n in range(start, len(terms)):
         predicted = sum(ck * terms[n - k] for ck, k in zip(cv.c, range(1, d + 1)))
@@ -209,8 +209,7 @@ def fit_recurrence(terms, d: int):
     when the windows are mutually inconsistent.  Only int and Fraction terms
     are in the domain (DomainError otherwise).
     """
-    if d < 1:
-        raise DomainError(f"fit_recurrence needs d >= 1, got {d}")
+    _check_index(d, "d", 1)
     terms = list(terms)
     if not all(isinstance(t, (int, Fraction)) for t in terms):
         raise DomainError("fit_recurrence solves over int and Fraction terms only")

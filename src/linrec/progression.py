@@ -20,10 +20,13 @@ from dataclasses import dataclass
 import math
 
 from .bell import bell_table
-from .kernel import Poly, _check_index, exact_div, lower_like, ring_const, ring_exemplar
+from .kernel import DomainError, Poly, _check_index, exact_div, lower_like, ring_const, ring_exemplar
 from .lucas import lucas_transform
 from .oracle import UNDERDETERMINED, NoSolution, char_poly_of_power, fit_recurrence, verify_recurrence
 from .recurrence import CoeffVector, RecurrenceSpec, _stride_terms, as_coeff_vector
+
+#: Most slice terms verify_slice checks: the direct check and the re-fit grow with it.
+_MAX_DEPTH = 10_000
 
 
 @dataclass(frozen=True)
@@ -138,12 +141,14 @@ def verify_slice(spec: RecurrenceSpec, m: int, r: int = 0, depth: int = 40) -> S
     """Check the slice recurrence of a_{mn+r} by the Bell route, det(tI - C^m),
     a direct check of the first depth slice terms and a re-fit of them.
 
-    The direct check covers slice indices d..depth-1, so it needs depth > d;
-    the re-fit needs depth >= 2d.
+    depth runs 1..10000.  The direct check covers slice indices d..depth-1,
+    so it needs depth > d; the re-fit needs depth >= 2d.
     """
     _check_index(m, "m", 1)
     _check_index(r, "r")
     _check_index(depth, "depth", 1)
+    if depth > _MAX_DEPTH:
+        raise DomainError(f"expected depth <= {_MAX_DEPTH}, got {depth}")
     gv = gamma_coefficients(spec.coeffs, m, cross_check=True)
     terms = _stride_terms(spec.coeffs.c, spec.initial, m, r, depth)
     return SliceReport(

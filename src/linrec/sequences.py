@@ -11,6 +11,7 @@ are generated on demand within documented parameter bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 from importlib import resources
 import json
 import re
@@ -38,29 +39,26 @@ _PREFIX_LEN = 20
 _MAX_K = 100
 _MAX_D = 20
 
-_fixed_cache: dict[str, CatalogEntry] | None = None
 
-
+@functools.cache
 def _load_fixed() -> dict[str, CatalogEntry]:
-    global _fixed_cache
-    if _fixed_cache is None:
-        raw = resources.files(__package__).joinpath("catalog.json").read_text("utf-8")
-        entries = {}
-        for rec in json.loads(raw)["entries"]:
-            spec = RecurrenceSpec(
-                CoeffVector(tuple(scalar_from_str(s) for s in rec["coeffs"])),
-                tuple(scalar_from_str(s) for s in rec["initial"]),
-            )
-            entries[rec["name"]] = CatalogEntry(
-                name=rec["name"],
-                oeis=rec["oeis"],
-                spec=spec,
-                prefix=tuple(scalar_from_str(s) for s in rec["prefix"]),
-                hat_of=rec["hat_of"],
-                notes=rec["notes"],
-            )
-        _fixed_cache = entries
-    return _fixed_cache
+    """The fixed entries of catalog.json, read once per process; callers do not mutate it."""
+    raw = resources.files(__package__).joinpath("catalog.json").read_text("utf-8")
+    entries = {}
+    for rec in json.loads(raw)["entries"]:
+        spec = RecurrenceSpec(
+            CoeffVector(tuple(scalar_from_str(s) for s in rec["coeffs"])),
+            tuple(scalar_from_str(s) for s in rec["initial"]),
+        )
+        entries[rec["name"]] = CatalogEntry(
+            name=rec["name"],
+            oeis=rec["oeis"],
+            spec=spec,
+            prefix=tuple(scalar_from_str(s) for s in rec["prefix"]),
+            hat_of=rec["hat_of"],
+            notes=rec["notes"],
+        )
+    return entries
 
 
 _FAMILY = re.compile(r"^([a-z_]+)\((\d+)\)$")

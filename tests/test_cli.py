@@ -378,3 +378,70 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.strip()
+
+    @pytest.mark.parametrize("d", ["--d=0", "--d=-2"])
+    def test_symbolic_order_below_one(self, capsys, d):
+        code, out, err = run_cli(capsys, "gamma", "--symbolic", d, "--m", "3")
+        assert code == 3
+        assert out == ""
+        assert "variable" in err
+
+    # one call per parse rule: each breaks only that rule
+    PARSE_RULES = {
+        "eval-two-sources": ["eval", "--coeffs", "1,1", "--catalog", "fibonacci", "--n", "5"],
+        "sum-two-sources": ["sum", "--coeffs", "1,1", "--catalog", "fibonacci", "--n", "5"],
+        "lucas-two-sources": ["lucas", "--coeffs", "1,1", "--catalog", "fibonacci", "--N", "5"],
+        "gamma-two-sources": ["gamma", "--coeffs", "1,1", "--catalog", "fibonacci", "--m", "3"],
+        "verify-two-sources": ["verify", "--coeffs", "1,1", "--catalog", "fibonacci", "--m", "3"],
+        "symbolic-with-coeffs": ["gamma", "--symbolic", "--d", "2", "--coeffs", "1,1", "--m", "3"],
+        "all-catalog-with-catalog": ["verify", "--all-catalog", "--catalog", "fibonacci", "--m", "2"],
+        "n-with-range": ["eval", "--catalog", "fibonacci", "--n", "3", "--range", "0..3"],
+        "eval-no-source": ["eval", "--n", "3"],
+        "lucas-no-source": ["lucas", "--N", "3"],
+        "sum-no-source": ["sum", "--n", "3"],
+        "subsum-no-source": ["subsum", "--m", "2", "--n", "3"],
+        "verify-no-source": ["verify", "--m", "2"],
+        "lucas-no-N": ["lucas", "--catalog", "fibonacci"],
+        "gamma-no-m": ["gamma", "--catalog", "fibonacci"],
+        "sum-no-n": ["sum", "--catalog", "fibonacci"],
+        "subsum-no-m": ["subsum", "--catalog", "fibonacci", "--n", "3"],
+        "subsum-no-n": ["subsum", "--catalog", "fibonacci", "--m", "2"],
+        "verify-no-m": ["verify", "--catalog", "fibonacci"],
+        "d-without-symbolic": ["gamma", "--catalog", "fibonacci", "--d", "2", "--m", "3"],
+        "init-with-catalog": ["sum", "--catalog", "fibonacci", "--init", "0,1", "--n", "3"],
+        "init-with-all-catalog": ["verify", "--all-catalog", "--init", "0,1", "--m", "2"],
+        "coeffs-without-init": ["sum", "--coeffs", "1,1", "--n", "3"],
+        "init-length": ["sum", "--coeffs", "1,1", "--init", "0", "--n", "3"],
+        "unparsable-init": ["sum", "--coeffs", "1,1", "--init", "0,x", "--n", "3"],
+    }
+
+    @pytest.mark.parametrize("rule", sorted(PARSE_RULES))
+    def test_parse_rule_exits_two(self, capsys, rule):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self.PARSE_RULES[rule])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.strip()
+
+
+class TestHelp:
+    # the usage line shows each required source group, which it can only when the group's flags are adjacent
+    SOURCES = {
+        "": None,
+        "eval": "(--coeffs COEFFS | --catalog CATALOG)",
+        "lucas": "(--coeffs COEFFS | --catalog CATALOG)",
+        "gamma": "(--coeffs COEFFS | --catalog CATALOG | --symbolic)",
+        "sum": "(--coeffs COEFFS | --catalog CATALOG)",
+        "subsum": "(--coeffs COEFFS | --catalog CATALOG)",
+        "verify": "(--coeffs COEFFS | --catalog CATALOG | --all-catalog)",
+        "catalog": None,
+    }
+
+    @pytest.mark.parametrize("command", sorted(SOURCES))
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert out.startswith("usage: linrec")
+        assert self.SOURCES[command] is None or self.SOURCES[command] in out

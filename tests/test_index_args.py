@@ -1,10 +1,10 @@
-"""Every index argument (n, k, j, m, r, depth, upto, exponent) must be an int, not a bool, and in range."""
+"""Every index argument (n, k, j, m, r, d, i, nvars, depth, upto, start, exponent) must be an int, not a bool, and in range."""
 
 from fractions import Fraction
 
 import pytest
 
-from linrec import CoeffVector, DomainError, RecurrenceSpec
+from linrec import CoeffVector, DomainError, Poly, RecurrenceSpec
 from linrec.bell import bell_partial, bell_table, bell_truncated3, set_partition_oracle
 from linrec.lucas import (
     hat_closed_form,
@@ -15,12 +15,14 @@ from linrec.lucas import (
     perrin_number,
     tribonacci_hat_number,
 )
-from linrec.oracle import char_poly_of_power, companion, mat_pow
+from linrec.oracle import CharPoly, char_poly_of_power, companion, fit_recurrence, mat_pow, verify_recurrence
 from linrec.progression import gamma_coefficients, subseq_recurrence, verify_slice
 from linrec.recurrence import seq_eval, seq_range, seq_window
 from linrec.sums import invert_partial_sum, invert_sequence, partial_sum_closed, progression_sum
 
 FIB = RecurrenceSpec(CoeffVector((1, 1)), (0, 1))
+FIB_TERMS = seq_range(FIB, 0, 12)
+X = Poly.variable(0, 1)
 
 # each entry calls one public function with the bad value in one index slot
 ENTRIES = {
@@ -58,6 +60,12 @@ ENTRIES = {
     "hat_closed_form.m": lambda v: hat_closed_form("tribonacci", v),
     "mat_pow.exponent": lambda v: mat_pow(companion((1, 1)), v),
     "char_poly_of_power.m": lambda v: char_poly_of_power((1, 1), v),
+    "Poly.variables.nvars": lambda v: Poly.variables(v),
+    "Poly.variable.i": lambda v: Poly.variable(v, 4),
+    "Poly.variable.nvars": lambda v: Poly.variable(0, v),
+    "Poly.pow.exponent": lambda v: X**v,
+    "fit_recurrence.d": lambda v: fit_recurrence(FIB_TERMS, v),
+    "CharPoly.elementary.k": lambda v: CharPoly((1, 0, 0, 0, 1)).elementary(v),
 }
 BAD = [2.5, 3.0, True, Fraction(3), "3", None, -1]
 
@@ -73,3 +81,14 @@ def test_bad_index_is_a_domain_error(entry, bad):
 def test_good_index_is_accepted(entry):
     # so each rejection above comes from the slot under test, not from the other arguments
     ENTRIES[entry](3)
+
+
+# start=None is the documented default (start at d), so it is not a bad value here
+@pytest.mark.parametrize("bad", [b for b in BAD if b is not None] + [1], ids=repr)
+def test_bad_verify_start_is_a_domain_error(bad):
+    with pytest.raises(DomainError):
+        verify_recurrence(FIB_TERMS, (1, 1), start=bad)
+
+
+def test_good_verify_start_is_accepted():
+    assert verify_recurrence(FIB_TERMS, (1, 1), start=3) == []

@@ -271,7 +271,9 @@ class TestVerifySlice:
         assert getattr(rep, field) in (False, (7,), "mismatch")
         assert rep.passed is False
 
-    @pytest.mark.parametrize("m, r, depth", [(0, 0, 40), (3, -1, 40), (100, -7, 6), (2, 0, 0)])
+    @pytest.mark.parametrize(
+        "m, r, depth", [(0, 0, 40), (3, -1, 40), (100, -7, 6), (2, 0, 0), (2, 0, 10_001)]
+    )
     def test_domain(self, m, r, depth):
         with pytest.raises(DomainError):
             verify_slice(self.SPEC, m, r, depth)
