@@ -7,15 +7,19 @@ here is computed by the standard recurrence
     B_{n,k} = sum_{i=1..n-k+1}  C(n-1, i-1) * x_i * B_{n-i,k-1}
 
 with B_{0,0} = 1 and B_{n,0} = B_{0,k} = 0 otherwise; no closed forms are
-trusted without the brute-force set-partition check in this module.
+trusted without the brute-force set-partition check in this module.  The
+table skips zero arguments, so an entry no nonzero term reaches stays an int
+0 in any domain.  The paper's two Bell expansions (gamma's and the trace
+terms') are each one exact weighted row sum, :func:`_bell_row_sum`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 import math
+from operator import mul
 
-from .kernel import _check_index, binomial, lower_like
+from .kernel import _check_exact, _check_index, binomial, exact_div, lower_like, ring_const
 
 
 class SizeLimit(ValueError):
@@ -33,32 +37,43 @@ def bell_table(upto: int, x) -> list[list]:
     One table amortizes the recurrence across every (n, k) a caller needs.
     """
     _check_index(upto, "upto")
-    x = tuple(x)
+    x = _check_exact(x, "Bell arguments")[:upto]
+    x += (0,) * (upto - len(x))
     table: list[list] = [[1]]
     for n in range(1, upto + 1):
         row = [0]
         for k in range(1, n + 1):
             acc = 0
             for i in range(1, n - k + 2):
-                xi = _arg(x, i)
+                xi = x[i - 1]
                 if xi == 0:
                     continue
-                prev = table[n - i][k - 1] if k - 1 <= n - i else 0
+                prev = table[n - i][k - 1]
                 if prev == 0:
                     continue
-                acc = acc + binomial(n - 1, i - 1) * xi * prev
+                acc = acc + math.comb(n - 1, i - 1) * xi * prev
             row.append(acc)
         table.append(row)
     return table
+
+
+def _bell_row_sum(row: list, weights, divisor: int, like):
+    """sum_{j>=1} weights[j-1] * row[j] / divisor, exactly, for a row B_{n,0..n} of bell_table.
+
+    The sum starts at the zero of like's domain, since skipped entries stay
+    int-typed over Fraction data and an int total would divide as an int;
+    lower_like then insists that integer data gave an integer result.
+    """
+    total = sum(map(mul, weights, row[1:]), ring_const(0, like))
+    return lower_like(exact_div(total, divisor), like)
 
 
 def bell_partial(n: int, k: int, x):
     """B_{n,k}(x) for a finite argument vector x (trailing zeros implied)."""
     _check_index(n, "n")
     _check_index(k, "k")
-    if k > n:
-        return 0
-    return bell_table(n, x)[n][k]
+    row = bell_table(n, x)[n]
+    return row[k] if k <= n else 0
 
 
 def bell_truncated3(m: int, j: int, x1, x2, x3):
@@ -71,6 +86,7 @@ def bell_truncated3(m: int, j: int, x1, x2, x3):
     """
     _check_index(m, "m")
     _check_index(j, "j")
+    _check_exact((x1, x2, x3), "Bell arguments")
     if j > m:
         return 0
     total = 0
@@ -115,9 +131,9 @@ def set_partition_oracle(n: int, k: int, x):
     _check_index(k, "k")
     if n > _ORACLE_LIMIT:
         raise SizeLimit(f"set enumeration capped at n = {_ORACLE_LIMIT}, got {n}")
+    x = _check_exact(x, "Bell arguments")
     if n == 0:
         return 1 if k == 0 else 0
-    x = tuple(x)
     total = 0
     for blocks in _partitions(tuple(range(n))):
         if len(blocks) != k:

@@ -24,7 +24,6 @@ import json
 import re
 import sys
 
-from .bell import SizeLimit
 from .kernel import (
     DomainError,
     Poly,
@@ -33,7 +32,7 @@ from .kernel import (
     scalar_to_str,
     value_to_json,
 )
-from .lucas import UnknownFamily, lucas_transform
+from .lucas import lucas_transform
 from .progression import SliceReport, gamma_coefficients, subseq_recurrence, verify_slice
 from .recurrence import CoeffVector, InvalidCoeffs, RecurrenceSpec, seq_eval, seq_range
 from .sequences import UnknownName, catalog_get, catalog_names
@@ -83,16 +82,16 @@ def _coeff_vector(args) -> CoeffVector:
     return args.coeffs
 
 
-def _spec(parser: argparse.ArgumentParser, args) -> RecurrenceSpec:
+def _spec(args) -> RecurrenceSpec:
     """Full spec from --coeffs/--init or --catalog."""
     if args.catalog is not None:
         return catalog_get(args.catalog).spec
     if args.init is None:
-        parser.error("inline --coeffs needs matching --init")
+        args.parser.error("inline --coeffs needs matching --init")
     try:
         return RecurrenceSpec(args.coeffs, args.init)
     except InvalidCoeffs as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
 
 
 def _print_record(args, record: dict, lines) -> None:
@@ -113,8 +112,8 @@ def _indexed(values, start: int) -> list[str]:
 # subcommands
 
 
-def _cmd_eval(parser, args) -> int:
-    spec = _spec(parser, args)
+def _cmd_eval(args) -> int:
+    spec = _spec(args)
     render = _render(args)
     if args.n is not None:
         record = {"command": "eval", "n": args.n, "value": render(seq_eval(spec, args.n))}
@@ -127,7 +126,7 @@ def _cmd_eval(parser, args) -> int:
     return 0
 
 
-def _cmd_lucas(parser, args) -> int:
+def _cmd_lucas(args) -> int:
     coeffs = _coeff_vector(args)
     render = _render(args)
     terms = [render(t) for t in lucas_transform(coeffs, args.N).terms]
@@ -136,9 +135,9 @@ def _cmd_lucas(parser, args) -> int:
     return 0
 
 
-def _cmd_gamma(parser, args) -> int:
+def _cmd_gamma(args) -> int:
     if args.symbolic != (args.d is not None):
-        parser.error("--symbolic needs --d to fix the order, and --d needs --symbolic")
+        args.parser.error("--symbolic needs --d to fix the order, and --d needs --symbolic")
     coeffs = CoeffVector(Poly.variables(args.d)) if args.symbolic else _coeff_vector(args)
     gv = gamma_coefficients(coeffs, args.m)
     render = _render(args)
@@ -174,14 +173,14 @@ def _sum_lines(record: dict) -> list[str]:
     ]
 
 
-def _cmd_sum(parser, args) -> int:
-    spec = _spec(parser, args)
+def _cmd_sum(args) -> int:
+    spec = _spec(args)
     _print_record(args, _sum_record(args, spec, {"command": "sum"}), _sum_lines)
     return 0
 
 
-def _cmd_subsum(parser, args) -> int:
-    spec = _spec(parser, args)
+def _cmd_subsum(args) -> int:
+    spec = _spec(args)
     sub = subseq_recurrence(spec, args.m, args.r)
     record = _sum_record(args, sub, {"command": "subsum", "m": args.m, "r": args.r})
     _print_record(args, record, _sum_lines)
@@ -221,12 +220,12 @@ def _verify_lines(record: dict) -> list[str]:
     return lines
 
 
-def _cmd_verify(parser, args) -> int:
+def _cmd_verify(args) -> int:
     if args.all_catalog:
         # family templates are not concrete entries
         specs = [(name, catalog_get(name).spec) for name in catalog_names() if "(" not in name]
     else:
-        specs = [(args.catalog if args.catalog is not None else "inline", _spec(parser, args))]
+        specs = [(args.catalog if args.catalog is not None else "inline", _spec(args))]
     reports = [
         _verify_record(name, verify_slice(spec, args.m, args.r, args.depth)) for name, spec in specs
     ]
@@ -243,7 +242,7 @@ def _catalog_lines(record: dict) -> list[str]:
     ]
 
 
-def _cmd_catalog(parser, args) -> int:
+def _cmd_catalog(args) -> int:
     render = _render(args)
     records = []
     for name in catalog_names():
@@ -334,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sub in subs.choices.values():
         sub.add_argument("--json", action="store_true", help="one JSON object on stdout")
+        sub.set_defaults(parser=sub)  # errors found after parsing report against the subcommand
 
     return parser
 
@@ -354,16 +354,15 @@ def main(argv=None) -> int:
     # interpreter's int-to-str digit guard for this process
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(_glue_lists(sys.argv[1:] if argv is None else list(argv)))
+    args = build_parser().parse_args(_glue_lists(sys.argv[1:] if argv is None else list(argv)))
     if getattr(args, "init", None) is not None and args.coeffs is None:
-        parser.error("--init only applies to inline --coeffs")
+        args.parser.error("--init only applies to inline --coeffs")
     try:
-        return args.handler(parser, args)
+        return args.handler(args)
     except DegenerateDivisor as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DomainError, InvalidCoeffs, UnknownName, UnknownFamily, SizeLimit) as exc:
+    except (DomainError, InvalidCoeffs, UnknownName) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

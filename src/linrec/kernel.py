@@ -39,6 +39,15 @@ def _check_index(value, name: str, least: int = 0) -> None:
         raise DomainError(f"expected an int {name} >= {least}, got {value!r}")
 
 
+def _check_exact(values, what: str, error: type = DomainError) -> tuple:
+    """values as a tuple, after rejecting (with error) any that is not exact: an int, Fraction or Poly, never a bool."""
+    values = tuple(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction, Poly)):
+            raise error(f"{what} must be exact (int, Fraction or Poly), got {v!r}")
+    return values
+
+
 #: Values usable as recurrence data in numeric mode.
 Scalar = int | Fraction
 
@@ -48,9 +57,9 @@ RingElement = "int | Fraction | Poly"
 
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient C(n, k) for 0 <= k <= n."""
-    if not (isinstance(n, int) and isinstance(k, int)):
-        raise DomainError(f"binomial expects integers, got {n!r}, {k!r}")
-    if k < 0 or n < 0 or k > n:
+    _check_index(n, "n")
+    _check_index(k, "k")
+    if k > n:
         raise DomainError(f"binomial({n}, {k}) is outside 0 <= k <= n")
     return math.comb(n, k)
 
@@ -92,24 +101,15 @@ def as_integer(x) -> int:
     raise DivisionNotExact(f"{x!r} is not an integer")
 
 
-def ring_const(value: int, like) -> RingElement:
-    """Inject the integer ``value`` into the domain of the exemplar ``like``."""
-    if isinstance(like, Poly):
-        return Poly.const(value, like.nvars)
-    if isinstance(like, Fraction):
-        return Fraction(value)
-    return value
-
-
-def ring_exemplar(values):
-    """Pick the value whose domain dominates: Poly beats Fraction beats int."""
-    best = 0
+def ring_const(value: int, values) -> RingElement:
+    """Inject the integer ``value`` into the domain that dominates ``values``: Poly beats Fraction beats int."""
+    domain = int
     for v in values:
         if isinstance(v, Poly):
-            return v
+            return Poly.const(value, v.nvars)
         if isinstance(v, Fraction):
-            best = v
-    return best
+            domain = Fraction
+    return domain(value)
 
 
 def lower_like(value, exemplars):
@@ -201,10 +201,6 @@ class Poly:
         return tuple(cls.variable(i, nvars) for i in range(nvars))
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -382,6 +378,12 @@ def _lower(value: Fraction) -> int | Fraction:
     return value.numerator if value.denominator == 1 else value
 
 
+def _clear_denominators(values) -> tuple[int, list]:
+    """(den, ints) with values[i] == ints[i] / den, den the lcm of the denominators of int and Fraction values."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 def _settle(terms: dict, keys=None) -> dict:
     """Put a fresh term dict in canonical form, in place, and return it.
 
@@ -406,12 +408,8 @@ def _settle(terms: dict, keys=None) -> dict:
 
 
 def scalar_to_str(x: Scalar) -> str:
-    """Render an exact scalar: decimal for integers, ``p/q`` otherwise."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, int):
+    """Render an exact scalar: decimal for integers (whole Fractions too), ``p/q`` otherwise."""
+    if isinstance(x, (int, Fraction)):
         return str(x)
     raise TypeError(f"not an exact scalar: {x!r}")
 
@@ -421,8 +419,7 @@ def scalar_from_str(text: str) -> Scalar:
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
-        value = Fraction(int(num), int(den))
-        return value.numerator if value.denominator == 1 else value
+        return _lower(Fraction(int(num), int(den)))
     return int(text)
 
 

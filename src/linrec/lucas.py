@@ -8,7 +8,8 @@ independent ways:
   * Newton's identities give hat_n = c_1*hat_{n-1} + ... + c_{n-1}*hat_1
     + n*c_n for 1 <= n <= d, after which the recurrence itself takes over.
   * A partial-Bell expansion gives hat_n directly from the coefficients,
-    with (k-1)!/(n-1)! prefactors whose rational parts always cancel.
+    with (k-1)!/(n-1)! prefactors whose rational parts always cancel: one
+    exact Bell row sum (:func:`linrec.bell._bell_row_sum`) per term.
 
 The classical examples: coefficients (1,1) give the Lucas numbers
 2, 1, 3, 4, 7, 11, ...; coefficients (1,1,1) give 3, 1, 3, 7, 11, 21, ...
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 import math
 
-from .bell import bell_table
-from .kernel import DomainError, _check_index, as_integer, exact_div, lower_like, ring_const, ring_exemplar
+from .bell import _bell_row_sum, bell_table
+from .kernel import DomainError, _check_exact, _check_index, as_integer, lower_like, ring_const
 from .recurrence import CoeffVector, _extend, as_coeff_vector
 
 
@@ -59,7 +60,7 @@ class LucasTransform:
 def lucas_transform(coeffs, upto: int) -> LucasTransform:
     """Trace terms hat_0..hat_upto via Newton's identities plus the recurrence."""
     cv = as_coeff_vector(coeffs)
-    return LucasTransform(cv, (ring_const(cv.d, ring_exemplar(cv.c)),)).extended(upto)
+    return LucasTransform(cv, (ring_const(cv.d, cv.c),)).extended(upto)
 
 
 def lucas_transform_bell_prefix(coeffs, upto: int) -> list:
@@ -72,14 +73,8 @@ def lucas_transform_bell_prefix(coeffs, upto: int) -> list:
     _check_index(upto, "upto", 1)
     x = tuple(math.factorial(i) * ci for i, ci in enumerate(cv.c, start=1))
     table = bell_table(upto, x)
-    zero = ring_const(0, ring_exemplar(cv.c))
-    out = []
-    for n in range(1, upto + 1):
-        total = zero
-        for k in range(1, n + 1):
-            total = total + math.factorial(k - 1) * table[n][k]
-        out.append(lower_like(exact_div(total, math.factorial(n - 1)), cv.c))
-    return out
+    weights = [math.factorial(k - 1) for k in range(1, upto + 1)]
+    return [_bell_row_sum(table[n], weights, math.factorial(n - 1), cv.c) for n in range(1, upto + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +83,16 @@ def lucas_transform_bell_prefix(coeffs, upto: int) -> list:
 # binomials whose arguments fall outside 0 <= k <= n are zero and skipped.
 
 
-def k_lucas_number(k: int, m: int) -> int:
-    """m-th term of the trace sequence of coefficients (k, 1)."""
+def k_lucas_number(k, m: int):
+    """m-th term of the trace sequence of coefficients (k, 1), in k's exact domain."""
+    _check_exact((k,), "k")
     _check_index(m, "m", 1)
     total = Fraction(0)
     for j in range(0, m):
         if 2 * j > m:
             continue
         total += Fraction(m, m - j) * math.comb(m - j, j) * k ** (m - 2 * j)
-    return as_integer(total)
+    return lower_like(total, (k,))
 
 
 def tribonacci_hat_number(m: int) -> int:

@@ -18,7 +18,7 @@ from fractions import Fraction
 import math
 from operator import mul
 
-from .kernel import DomainError, _check_index
+from .kernel import DomainError, Poly, _check_exact, _check_index, _clear_denominators, _lower
 from .recurrence import CoeffVector, as_coeff_vector
 
 
@@ -80,6 +80,7 @@ def mat_pow(mat: list[list], exponent: int) -> list[list]:
     if any(len(row) != n for row in mat):
         raise DomainError("mat_pow needs a square matrix")
     _check_index(exponent, "exponent")
+    _check_exact((v for row in mat for v in row), "matrix entries")
     result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     base = mat
     while exponent:
@@ -130,6 +131,7 @@ def char_poly(mat: list[list]) -> CharPoly:
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise DomainError("char_poly needs a square matrix")
+    _check_exact((v for row in mat for v in row), "matrix entries")
     desc = [1]  # degree-descending coefficients, 0x0 block
     for r in range(1, n + 1):
         row = mat[r - 1][: r - 1]
@@ -165,6 +167,7 @@ def char_poly_of_power(coeffs, m: int) -> CoeffVector:
 def verify_recurrence(terms, coeffs, start: int | None = None) -> list[int]:
     """Indices n >= start where terms[n] != sum_k c_k * terms[n-k].  Empty = verified."""
     cv = as_coeff_vector(coeffs)
+    terms = _check_exact(terms, "terms")
     d = cv.d
     if start is None:
         start = d
@@ -175,12 +178,6 @@ def verify_recurrence(terms, coeffs, start: int | None = None) -> list[int]:
         if terms[n] != predicted:
             bad.append(n)
     return bad
-
-
-def _over_common_denominator(values) -> tuple[int, list]:
-    """(den, ints) with values[i] == ints[i] / den, for int and Fraction values."""
-    den = math.lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def _primitive(row: list) -> list:
@@ -210,8 +207,8 @@ def fit_recurrence(terms, d: int):
     are in the domain (DomainError otherwise).
     """
     _check_index(d, "d", 1)
-    terms = list(terms)
-    if not all(isinstance(t, (int, Fraction)) for t in terms):
+    terms = _check_exact(terms, "terms")
+    if any(isinstance(t, Poly) for t in terms):
         raise DomainError("fit_recurrence solves over int and Fraction terms only")
     if len(terms) < 2 * d:
         raise DomainError(f"need at least {2 * d} terms to fit order {d}, got {len(terms)}")
@@ -219,7 +216,7 @@ def fit_recurrence(terms, d: int):
     # column j holds t_{n-d+j} and the unknown g_{d-j}; column d holds t_n
     pivots: dict[int, list] = {}  # pivot column -> row, zero in every other pivot column
     for n in range(d, len(terms)):
-        row = _primitive(_over_common_denominator(terms[n - d : n + 1])[1])
+        row = _primitive(_clear_denominators(terms[n - d : n + 1])[1])
         for p, basis in pivots.items():
             if row[p]:
                 row = _cancel(row, basis, p)
@@ -237,10 +234,10 @@ def fit_recurrence(terms, d: int):
     else:
         return UNDERDETERMINED
     sol = [Fraction(pivots[j][d], pivots[j][j]) for j in range(d)]
-    den, num = _over_common_denominator(sol)
+    den, num = _clear_denominators(sol)
     if any(den * terms[n] != sum(map(mul, num, terms[n - d : n])) for n in range(d, len(terms))):
         raise inconsistent
     if sol[0] == 0:
         # a shorter recurrence fits the window; no genuine order-d answer
         return UNDERDETERMINED
-    return CoeffVector(tuple(v.numerator if v.denominator == 1 else v for v in reversed(sol)))
+    return CoeffVector(tuple(map(_lower, reversed(sol))))

@@ -9,9 +9,10 @@ roots; they are computed here without roots, from the trace sequence alone:
     g_k = sum_{j=1..k} ((-1)^{j+1} / k!) * B_{k,j}(0!*hat_m, 1!*hat_{2m}, ...)
 
 with the trailing coefficient available directly as
-g_d = (-1)^{(d+1)(m+1)} * c_d^m.  All intermediate rationals cancel; results
-are lowered back to integers (or integer-coefficient polynomials) with an
-assertion, never by rounding.
+g_d = (-1)^{(d+1)(m+1)} * c_d^m.  Each g_k is one exact Bell row sum
+(:func:`linrec.bell._bell_row_sum`, weights +-1, divisor k!): all
+intermediate rationals cancel, and results are lowered back to integers (or
+integer-coefficient polynomials) with an assertion, never by rounding.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-from .bell import bell_table
-from .kernel import DomainError, Poly, _check_index, exact_div, lower_like, ring_const, ring_exemplar
+from .bell import _bell_row_sum, bell_table
+from .kernel import DomainError, Poly, _check_index
 from .lucas import lucas_transform
 from .oracle import UNDERDETERMINED, NoSolution, char_poly_of_power, fit_recurrence, verify_recurrence
 from .recurrence import CoeffVector, RecurrenceSpec, _stride_terms, as_coeff_vector
@@ -45,20 +46,6 @@ class GammaVector:
         return self.coeffs.d
 
 
-def _bell_sum(table, k: int, c) -> object:
-    """sum_{j=1..k} ((-1)^{j+1} / k!) * B_{k,j} from a prepared Bell table.
-
-    The signed entries are summed in the domain of the coefficients c and
-    divided by k! once, so integer data stays integer until that one exact
-    division.  The sum starts at c's zero because the table skips zero
-    arguments, so some entries stay int-typed even over Fraction data.
-    """
-    total = ring_const(0, ring_exemplar(c))
-    for j in range(1, k + 1):
-        total = total + table[k][j] if j % 2 else total - table[k][j]
-    return exact_div(total, math.factorial(k))
-
-
 def gamma_coefficients(coeffs, m: int, *, cross_check: bool = False) -> GammaVector:
     """Coefficients of the order-d recurrence satisfied by every a_{mn+r}.
 
@@ -75,11 +62,12 @@ def gamma_coefficients(coeffs, m: int, *, cross_check: bool = False) -> GammaVec
     hats = _stride_terms(cv.c, lucas_transform(cv, d - 1).terms, m, m, depth)
     x = tuple(math.factorial(i) * hat for i, hat in enumerate(hats))
     table = bell_table(depth, x)
-    gamma = [lower_like(_bell_sum(table, k, cv.c), cv.c) for k in range(1, d)]
+    signs = (1, -1) * d  # (-1)^{j+1} for j = 1, 2, ...
+    gamma = [_bell_row_sum(table[k], signs, math.factorial(k), cv.c) for k in range(1, d)]
     sign = (-1) ** ((d + 1) * (m + 1))
     last = sign * cv.c[-1] ** m
     if cross_check:
-        from_bell = lower_like(_bell_sum(table, d, cv.c), cv.c)
+        from_bell = _bell_row_sum(table[d], signs, math.factorial(d), cv.c)
         if from_bell != last:
             raise ArithmeticError(
                 f"trailing coefficient mismatch: Bell sum {from_bell}, sign formula {last}"

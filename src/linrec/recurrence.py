@@ -21,25 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import math
 from operator import mul
 
-from .kernel import Poly, _check_index
+from .kernel import Poly, _check_exact, _check_index, _clear_denominators
 
 
 class InvalidCoeffs(ValueError):
     """Coefficient or initial-value data does not describe a valid recurrence."""
-
-
-_EXACT_TYPES = (int, Fraction, Poly)
-
-
-def _check_exact(values, what: str) -> tuple:
-    values = tuple(values)
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, _EXACT_TYPES):
-            raise InvalidCoeffs(f"{what} must be exact (int, Fraction or Poly), got {v!r}")
-    return values
 
 
 def _check_one_ring(values, what: str) -> None:
@@ -54,7 +42,7 @@ class CoeffVector:
     c: tuple
 
     def __post_init__(self):
-        c = _check_exact(self.c, "coefficients")
+        c = _check_exact(self.c, "coefficients", InvalidCoeffs)
         if not c:
             raise InvalidCoeffs("a recurrence needs at least one coefficient")
         if c[-1] == 0:
@@ -86,7 +74,7 @@ class RecurrenceSpec:
 
     def __post_init__(self):
         coeffs = as_coeff_vector(self.coeffs)
-        initial = _check_exact(self.initial, "initial terms")
+        initial = _check_exact(self.initial, "initial terms", InvalidCoeffs)
         if len(initial) != coeffs.d:
             raise InvalidCoeffs(
                 f"{coeffs.d} coefficients need exactly {coeffs.d} initial terms, "
@@ -176,12 +164,10 @@ def _stride_terms(c: tuple, head, m: int, r: int, count: int) -> list:
         return []
     kinds = set(map(type, (*c, *head)))
     if Fraction in kinds and kinds <= {int, Fraction}:
-        D = math.lcm(*(ci.denominator for ci in c))
-        e = math.lcm(*(a.denominator for a in head))
-        lifted_c = tuple(
-            ci.numerator * (D // ci.denominator) * D ** (i - 1) for i, ci in enumerate(c, start=1)
-        )
-        lifted_head = tuple(a.numerator * (e // a.denominator) * D**j for j, a in enumerate(head))
+        D, cD = _clear_denominators(c)  # cD[i-1] = c_i*D
+        e, ea = _clear_denominators(head)  # ea[j] = e*a_j
+        lifted_c = tuple(x * D ** (i - 1) for i, x in enumerate(cD, start=1))
+        lifted_head = tuple(x * D**j for j, x in enumerate(ea))
         scale, step = e * D**r, D**m
         out = []
         for k, b in enumerate(_stride_terms(lifted_c, lifted_head, m, r, count)):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import DomainError, _check_index, exact_div, ring_const, ring_exemplar
+from .kernel import DomainError, _check_index, exact_div, ring_const
 from .progression import subseq_recurrence
 from .recurrence import RecurrenceSpec, _extend, as_coeff_vector, seq_range
 
@@ -102,7 +102,7 @@ def invert_sequence(coeffs, upto: int) -> list:
     cv = as_coeff_vector(coeffs)
     _check_index(upto, "upto")
     d = cv.d
-    y = _extend(cv.c, [0] * (d - 1) + [ring_const(1, ring_exemplar(cv.c))], upto + d - 1)
+    y = _extend(cv.c, [0] * (d - 1) + [ring_const(1, cv.c)], upto + d - 1)
     return y[d - 1 :]
 
 

@@ -1,10 +1,11 @@
-import random
 from fractions import Fraction
+import math
+import random
 
 import pytest
 
-from linrec import DomainError, Poly, SizeLimit
-from linrec.bell import bell_partial, bell_table, bell_truncated3, set_partition_oracle
+from linrec import DivisionNotExact, DomainError, Poly, SizeLimit
+from linrec.bell import _bell_row_sum, bell_partial, bell_table, bell_truncated3, set_partition_oracle
 
 
 def stirling2_oracle(n: int, k: int) -> int:
@@ -129,3 +130,37 @@ class TestTable:
             bell_partial(2, -1, (1, 1))
         with pytest.raises(DomainError):
             bell_truncated3(-1, 0, 1, 1, 1)
+
+
+class TestBellRowSum:
+    """The one exact row sum behind gamma and the Bell route to trace terms."""
+
+    # B_{2,0..2}(1, 0): B_{2,1} = x_2 is a skipped zero argument and B_{2,2} = x_1^2, so both stay int
+    INT_ROW = bell_table(2, (1, 0))[2]
+
+    def test_int_data(self):
+        # fibonacci at stride 2: x = (0!*hat_2, 1!*hat_4) = (3, 7) gives gamma = (3, -1)
+        table = bell_table(2, (3, 7))
+        got = [_bell_row_sum(table[k], (1, -1), math.factorial(k), (1, 1)) for k in (1, 2)]
+        assert got == [3, -1]
+        assert all(type(g) is int for g in got)
+
+    def test_fraction_domain_with_int_typed_row(self):
+        # gamma_coefficients((1, -1/2, 1), 1): hat_2 = 0, so row 2 holds only ints over Fraction data
+        assert self.INT_ROW == [0, 0, 1] and all(type(b) is int for b in self.INT_ROW)
+        got = _bell_row_sum(self.INT_ROW, (1, -1), 2, (1, Fraction(-1, 2), 1))
+        assert got == Fraction(-1, 2)
+
+    def test_fraction_coefficient_poly(self):
+        # an integral total over rational-coefficient Poly data has a fractional quotient
+        x = Poly.variable(0, 1)
+        got = _bell_row_sum(self.INT_ROW, (1, -1), 2, (Fraction(1, 2) * x, 1))
+        assert isinstance(got, Poly)
+        assert got == Poly.const(Fraction(-1, 2), 1)
+
+    def test_integer_data_needs_an_integer_result(self):
+        x = Poly.variable(0, 1)
+        with pytest.raises(DivisionNotExact):
+            _bell_row_sum([0, 1], (1,), 2, (1, 1))
+        with pytest.raises(DivisionNotExact):
+            _bell_row_sum([0, x], (1,), 2, (x, 1))

@@ -423,6 +423,25 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err.strip()
 
+    # the rules checked after parsing report against the subcommand, as argparse's own do
+    POST_PARSE_RULES = {
+        "coeffs-without-init": ["sum", "--coeffs", "1,1", "--n", "3"],
+        "init-length": ["sum", "--coeffs", "1,1", "--init", "0,1,2", "--n", "3"],
+        "d-without-symbolic": ["gamma", "--catalog", "fibonacci", "--d", "2", "--m", "3"],
+        "init-with-catalog": ["sum", "--catalog", "fibonacci", "--init", "0,1", "--n", "3"],
+    }
+
+    @pytest.mark.parametrize("rule", sorted(POST_PARSE_RULES))
+    def test_post_parse_error_names_the_subcommand(self, capsys, rule):
+        argv = self.POST_PARSE_RULES[rule]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"usage: linrec {argv[0]} " in err
+        assert f"linrec {argv[0]}: error:" in err
+
 
 class TestHelp:
     # the usage line shows each required source group, which it can only when the group's flags are adjacent

@@ -1,0 +1,47 @@
+"""Every value argument of the exact code (Bell arguments, matrix entries, terms, k) must be an int, a Fraction or a Poly: a float or a bool is a DomainError."""
+
+from fractions import Fraction
+
+import pytest
+
+from linrec import DomainError
+from linrec.bell import bell_partial, bell_table, bell_truncated3, set_partition_oracle
+from linrec.lucas import k_lucas_number
+from linrec.oracle import char_poly, fit_recurrence, mat_pow, verify_recurrence
+
+# each entry calls one public function with the bad value in one value slot
+ENTRIES = {
+    "bell_partial.x": lambda v: bell_partial(2, 1, (1, v)),
+    "bell_partial.x-past-n": lambda v: bell_partial(1, 2, (v,)),
+    "bell_table.x": lambda v: bell_table(2, (v, 1)),
+    "set_partition_oracle.x": lambda v: set_partition_oracle(2, 1, (1, v)),
+    "bell_truncated3.x1": lambda v: bell_truncated3(2, 1, v, 1, 1),
+    "bell_truncated3.x2": lambda v: bell_truncated3(2, 1, 1, v, 1),
+    "bell_truncated3.x3": lambda v: bell_truncated3(2, 1, 1, 1, v),
+    "mat_pow.entry": lambda v: mat_pow([[v]], 2),
+    "char_poly.entry": lambda v: char_poly([[v]]),
+    "verify_recurrence.terms": lambda v: verify_recurrence([1, 1, v], (1, 1)),
+    "fit_recurrence.terms": lambda v: fit_recurrence([v, v, v, v], 1),
+    "k_lucas_number.k": lambda v: k_lucas_number(v, 3),
+}
+BAD = [1.5, 2.0, True, "2", None]
+
+
+@pytest.mark.parametrize("bad", BAD, ids=repr)
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_inexact_value_is_a_domain_error(entry, bad):
+    with pytest.raises(DomainError):
+        ENTRIES[entry](bad)
+
+
+@pytest.mark.parametrize("good", [2, Fraction(1, 2)], ids=repr)
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_exact_value_is_accepted(entry, good):
+    # so each rejection above comes from the slot under test, not from the other arguments
+    ENTRIES[entry](good)
+
+
+def test_k_lucas_number_stays_in_k_domain():
+    # the trace of (1/2, 1) is 2, 1/2, 9/4, 13/8, ...
+    assert k_lucas_number(Fraction(1, 2), 3) == Fraction(13, 8)
+    assert k_lucas_number(2, 3) == 14

@@ -1,0 +1,37 @@
+"""Every name a module of the package imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "linrec"
+# __init__.py imports to re-export
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import (other than from __future__) that no expression in source reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_finds_unused_imports():
+    source = "from __future__ import annotations\nimport os.path\nimport math\nfrom a import b as c, d\nc(math.pi)\n"
+    assert unused_imports(source) == ["d", "os"]
+
+
+def test_modules_found():
+    assert {"kernel.py", "cli.py", "bell.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

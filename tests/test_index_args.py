@@ -6,6 +6,7 @@ import pytest
 
 from linrec import CoeffVector, DomainError, Poly, RecurrenceSpec
 from linrec.bell import bell_partial, bell_table, bell_truncated3, set_partition_oracle
+from linrec.kernel import binomial
 from linrec.lucas import (
     hat_closed_form,
     k_lucas_number,
@@ -66,6 +67,8 @@ ENTRIES = {
     "Poly.pow.exponent": lambda v: X**v,
     "fit_recurrence.d": lambda v: fit_recurrence(FIB_TERMS, v),
     "CharPoly.elementary.k": lambda v: CharPoly((1, 0, 0, 0, 1)).elementary(v),
+    "binomial.n": lambda v: binomial(v, 1),
+    "binomial.k": lambda v: binomial(3, v),
 }
 BAD = [2.5, 3.0, True, Fraction(3), "3", None, -1]
 

@@ -11,7 +11,6 @@ from linrec.kernel import (
     exact_div,
     lower_like,
     ring_const,
-    ring_exemplar,
     scalar_from_str,
     scalar_to_str,
     value_from_json,
@@ -106,13 +105,15 @@ class TestLowering:
             as_integer(Fraction(1, 2))
 
     def test_ring_const_and_exemplar(self):
+        # the dominant domain among the values wins: Poly beats Fraction beats int
         x = Poly.variable(0, 2)
-        assert ring_const(3, x) == Poly.const(3, 2)
-        assert ring_const(3, Fraction(1, 2)) == Fraction(3)
-        assert ring_const(3, 7) == 3
-        assert ring_exemplar([1, Fraction(1, 2), x]) is x
-        assert ring_exemplar([1, Fraction(1, 2)]) == Fraction(1, 2)
-        assert isinstance(ring_exemplar([1, 2]), int)
+        assert ring_const(3, [x]) == Poly.const(3, 2)
+        assert ring_const(3, [Fraction(1, 2)]) == Fraction(3)
+        assert ring_const(3, [7]) == 3
+        assert isinstance(ring_const(3, [1, Fraction(1, 2), x]), Poly)
+        assert ring_const(3, [1, Fraction(1, 2), x]).nvars == 2
+        assert type(ring_const(3, [1, Fraction(1, 2)])) is Fraction
+        assert type(ring_const(3, [1, 2])) is int
 
     def test_lower_like(self):
         assert lower_like(Fraction(6, 3), [1, 2]) == 2
