@@ -10,7 +10,6 @@ from .kernel import (
     DomainError,
     Poly,
     as_integer,
-    binomial,
     exact_div,
     scalar_from_str,
     scalar_to_str,
@@ -21,8 +20,6 @@ from .recurrence import CoeffVector, InvalidCoeffs, RecurrenceSpec, seq_eval, se
 from .bell import SizeLimit, bell_partial, bell_table, bell_truncated3, set_partition_oracle
 from .lucas import (
     LucasTransform,
-    UnknownFamily,
-    hat_closed_form,
     k_lucas_number,
     lucas_transform,
     lucas_transform_bell_prefix,
@@ -34,7 +31,6 @@ from .oracle import (
     UNDERDETERMINED,
     CharPoly,
     NoSolution,
-    Underdetermined,
     char_poly,
     char_poly_of_power,
     companion,
@@ -78,14 +74,11 @@ __all__ = [
     "SliceReport",
     "SumClosedForm",
     "UNDERDETERMINED",
-    "Underdetermined",
-    "UnknownFamily",
     "UnknownName",
     "as_integer",
     "bell_partial",
     "bell_table",
     "bell_truncated3",
-    "binomial",
     "catalog_get",
     "catalog_names",
     "catalog_selfcheck",
@@ -95,7 +88,6 @@ __all__ = [
     "exact_div",
     "fit_recurrence",
     "gamma_coefficients",
-    "hat_closed_form",
     "invert_partial_sum",
     "invert_sequence",
     "k_lucas_number",

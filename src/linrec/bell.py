@@ -19,7 +19,7 @@ from fractions import Fraction
 import math
 from operator import mul
 
-from .kernel import _check_exact, _check_index, binomial, exact_div, lower_like, ring_const
+from .kernel import _check_exact, _check_index, exact_div, lower_like, ring_const
 
 
 class SizeLimit(ValueError):
@@ -98,8 +98,8 @@ def bell_truncated3(m: int, j: int, x1, x2, x3):
         e3 = m - 2 * j + l
         scalar = (
             lead
-            * binomial(j, j - l)
-            * binomial(j - l, e3)
+            * math.comb(j, j - l)
+            * math.comb(j - l, e3)
             * Fraction(1, 2**e2 * 6**e3)
         )
         total = total + scalar * x1**l * x2**e2 * x3**e3

@@ -24,19 +24,12 @@ import json
 import re
 import sys
 
-from .kernel import (
-    DomainError,
-    Poly,
-    _check_index,
-    scalar_from_str,
-    scalar_to_str,
-    value_to_json,
-)
+from .kernel import DomainError, Poly, scalar_from_str, scalar_to_str, value_to_json
 from .lucas import lucas_transform
 from .progression import SliceReport, gamma_coefficients, subseq_recurrence, verify_slice
 from .recurrence import CoeffVector, InvalidCoeffs, RecurrenceSpec, seq_eval, seq_range
 from .sequences import UnknownName, catalog_get, catalog_names
-from .sums import DegenerateDivisor, partial_sum_form
+from .sums import DegenerateDivisor, partial_sum_closed, partial_sum_form
 
 _RANGE = re.compile(r"^(\d+)\.\.(\d+)$")
 _NEGATIVE = re.compile(r"^-\d")
@@ -149,14 +142,12 @@ def _cmd_gamma(args) -> int:
 def _sum_record(args, spec: RecurrenceSpec, head: dict) -> dict:
     """The closed partial sum of spec over 0..--n and its form, after the head fields.
 
-    The form is built once and applied to the look-ahead terms here, as
-    partial_sum_closed would; subsum also lists its slice's gamma.
+    The form comes first, so a degenerate spec exits 4 before --n is
+    checked; subsum also lists its slice's gamma.
     """
     render = _render(args)
     form = partial_sum_form(spec)
-    _check_index(args.n, "n")
-    value = form.evaluate(seq_range(spec, args.n + 1, args.n + spec.order))
-    record = {**head, "n": args.n, "sum": render(value)}
+    record = {**head, "n": args.n, "sum": render(partial_sum_closed(spec, args.n))}
     if head["command"] == "subsum":
         record["gamma"] = [render(g) for g in spec.coeffs.c]
     record["divisor"] = render(form.divisor)

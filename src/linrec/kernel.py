@@ -55,15 +55,6 @@ Scalar = int | Fraction
 RingElement = "int | Fraction | Poly"
 
 
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k) for 0 <= k <= n."""
-    _check_index(n, "n")
-    _check_index(k, "k")
-    if k > n:
-        raise DomainError(f"binomial({n}, {k}) is outside 0 <= k <= n")
-    return math.comb(n, k)
-
-
 def exact_div(a, n):
     """Divide ``a`` by a nonzero integer ``n``, requiring exactness.
 
@@ -87,7 +78,7 @@ def exact_div(a, n):
         return q
     if isinstance(a, (int, Fraction)) and isinstance(n, (int, Fraction)):
         return Fraction(a) / Fraction(n)
-    raise TypeError(f"exact_div does not apply to {type(a).__name__}")
+    raise DomainError(f"exact_div does not apply to {type(a).__name__}")
 
 
 def as_integer(x) -> int:

@@ -22,12 +22,8 @@ from fractions import Fraction
 import math
 
 from .bell import _bell_row_sum, bell_table
-from .kernel import DomainError, _check_exact, _check_index, as_integer, lower_like, ring_const
+from .kernel import _check_exact, _check_index, as_integer, lower_like, ring_const
 from .recurrence import CoeffVector, _extend, as_coeff_vector
-
-
-class UnknownFamily(ValueError):
-    """No closed-form trace formula is registered under that family name."""
 
 
 def _newton_head(c: tuple, terms: list, upto: int) -> list:
@@ -48,19 +44,13 @@ class LucasTransform:
     coeffs: CoeffVector
     terms: tuple
 
-    def extended(self, upto: int) -> "LucasTransform":
-        """A transform carrying at least terms 0..upto (self if already long enough)."""
-        _check_index(upto, "upto")
-        if upto < len(self.terms):
-            return self
-        terms = _extend(self.coeffs.c, _newton_head(self.coeffs.c, list(self.terms), upto), upto)
-        return LucasTransform(self.coeffs, tuple(terms))
-
 
 def lucas_transform(coeffs, upto: int) -> LucasTransform:
     """Trace terms hat_0..hat_upto via Newton's identities plus the recurrence."""
     cv = as_coeff_vector(coeffs)
-    return LucasTransform(cv, (ring_const(cv.d, cv.c),)).extended(upto)
+    _check_index(upto, "upto")
+    c = cv.c
+    return LucasTransform(cv, tuple(_extend(c, _newton_head(c, [ring_const(cv.d, c)], upto), upto)))
 
 
 def lucas_transform_bell_prefix(coeffs, upto: int) -> list:
@@ -127,24 +117,3 @@ def narayana_hat_number(m: int) -> int:
             continue
         total += Fraction(m, m - 2 * j) * math.comb(m - 2 * j, j)
     return as_integer(total)
-
-
-def hat_closed_form(family: str, m: int, k: int | None = None) -> int:
-    """Dispatch the closed-form trace term for a named base family.
-
-    ``family`` names the base sequence whose trace is wanted: "k_fibonacci"
-    (requires k), "tribonacci", "padovan" or "narayana".
-    """
-    if family == "k_fibonacci":
-        if k is None:
-            raise DomainError("family k_fibonacci needs the parameter k")
-        return k_lucas_number(k, m)
-    if k is not None:
-        raise DomainError(f"family {family!r} takes no parameter")
-    if family == "tribonacci":
-        return tribonacci_hat_number(m)
-    if family == "padovan":
-        return perrin_number(m)
-    if family == "narayana":
-        return narayana_hat_number(m)
-    raise UnknownFamily(f"no closed form registered for family {family!r}")

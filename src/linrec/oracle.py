@@ -26,26 +26,20 @@ class NoSolution(ValueError):
     """No order-d recurrence is consistent with the supplied window."""
 
 
-class Underdetermined:
+class _Underdetermined:
     """Marker: the window does not pin down a single genuine order-d recurrence.
 
-    Returned (never raised) by :func:`fit_recurrence` when the linear system
-    is singular, which is the expected outcome for sequences that satisfy a
-    recurrence of lower order.  Callers treat it as information, not failure.
+    Its one instance, UNDERDETERMINED, is returned (never raised) by
+    :func:`fit_recurrence` when the linear system is singular, which is the
+    expected outcome for sequences that satisfy a recurrence of lower order.
+    Callers treat it as information, not failure.
     """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self):
         return "UNDERDETERMINED"
 
 
-UNDERDETERMINED = Underdetermined()
+UNDERDETERMINED = _Underdetermined()
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +62,11 @@ def _dot(u, v):
 
 
 def mat_mul(a: list[list], b: list[list]) -> list[list]:
+    """Matrix product a*b of exact entries (a float or bool entry is a DomainError)."""
     if not a or len(a[0]) != len(b):
         raise DomainError("matrix shapes do not compose")
+    for row in (*a, *b):  # row by row, so no product builds a tuple of all its 2d^2 entries
+        _check_exact(row, "matrix entries")
     cols = list(zip(*b))
     return [[_dot(row, col) for col in cols] for row in a]
 
@@ -164,16 +161,13 @@ def char_poly_of_power(coeffs, m: int) -> CoeffVector:
     return CoeffVector(tuple(-cp.coeffs[d - k] for k in range(1, d + 1)))
 
 
-def verify_recurrence(terms, coeffs, start: int | None = None) -> list[int]:
-    """Indices n >= start where terms[n] != sum_k c_k * terms[n-k].  Empty = verified."""
+def verify_recurrence(terms, coeffs) -> list[int]:
+    """Indices n >= d where terms[n] != sum_k c_k * terms[n-k].  Empty = verified."""
     cv = as_coeff_vector(coeffs)
     terms = _check_exact(terms, "terms")
     d = cv.d
-    if start is None:
-        start = d
-    _check_index(start, "start", d)
     bad = []
-    for n in range(start, len(terms)):
+    for n in range(d, len(terms)):
         predicted = sum(ck * terms[n - k] for ck, k in zip(cv.c, range(1, d + 1)))
         if terms[n] != predicted:
             bad.append(n)

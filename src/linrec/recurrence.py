@@ -54,9 +54,6 @@ class CoeffVector:
     def d(self) -> int:
         return len(self.c)
 
-    def __iter__(self):
-        return iter(self.c)
-
 
 def as_coeff_vector(coeffs) -> CoeffVector:
     """Accept a CoeffVector or any sequence of exact coefficients."""
@@ -147,7 +144,9 @@ def _xpow(c: tuple, n: int) -> list:
     return result
 
 
-# Below this last index a forward walk is cheaper than the jumps.
+# Below this last index a forward walk is used.  One walk serves every term of
+# a window or slice, but for a single int term the jumps are already cheaper
+# from about n = 32 (d = 2) to n = 128 (d = 8).
 _JUMP_CUTOFF = 256
 
 

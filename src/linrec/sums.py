@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import DomainError, _check_index, exact_div, ring_const
+from .kernel import DomainError, _check_exact, _check_index, exact_div, ring_const
 from .progression import subseq_recurrence
 from .recurrence import RecurrenceSpec, _extend, as_coeff_vector, seq_range
 
@@ -48,8 +48,8 @@ class SumClosedForm:
     constant: object
 
     def evaluate(self, lookahead):
-        """Apply the form to look-ahead terms a_{n+1}..a_{n+d}."""
-        lookahead = tuple(lookahead)
+        """Apply the form to exact look-ahead terms a_{n+1}..a_{n+d}."""
+        lookahead = _check_exact(lookahead, "look-ahead terms")
         if len(lookahead) != len(self.weights):
             raise DomainError(f"expected {len(self.weights)} look-ahead terms")
         numerator = sum(w * t for w, t in zip(self.weights, lookahead)) + self.constant

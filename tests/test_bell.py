@@ -75,7 +75,7 @@ class TestTruncated3:
         for _ in range(3):
             x1, x2, x3 = (rng.randint(-4, 4) for _ in range(3))
             for m in range(0, 13):
-                for j in range(0, m + 1):
+                for j in range(0, m + 2):  # j > m has no partitions: 0
                     expect = bell_partial(m, j, (x1, x2, x3))
                     assert bell_truncated3(m, j, x1, x2, x3) == expect
 

@@ -135,10 +135,12 @@ class TestSums:
         assert blob["gamma"] == ["21", "1", "1"]
 
     def test_degenerate_exit_four(self, capsys):
-        code, out, err = run_cli(capsys, "sum", "--coeffs", "2,-1", "--init", "0,1", "--n", "5")
-        assert code == 4
-        assert out == ""
-        assert err.strip()
+        # the form is built before n is checked, so a degenerate spec exits 4 whatever n is
+        for n in ("5", "-1"):
+            code, out, err = run_cli(capsys, "sum", "--coeffs", "2,-1", "--init", "0,1", f"--n={n}")
+            assert code == 4
+            assert out == ""
+            assert err.strip()
 
     def test_degenerate_subsequence(self, capsys):
         code, _, err = run_cli(capsys, "subsum", "--coeffs", "1,-1", "--init", "1,2", "--m", "6", "--r", "0", "--n", "5")
@@ -348,7 +350,7 @@ class TestExitCodes:
         ids=["sum", "subsum"],
     )
     def test_negative_n(self, capsys, argv):
-        # the CLI applies the closed form itself, so it checks n itself
+        # partial_sum_closed checks n; the CLI maps its DomainError to exit 3
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == ""

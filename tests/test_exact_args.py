@@ -1,13 +1,16 @@
-"""Every value argument of the exact code (Bell arguments, matrix entries, terms, k) must be an int, a Fraction or a Poly: a float or a bool is a DomainError."""
+"""Every value argument of the exact code (Bell arguments, matrix entries, terms, look-ahead terms, k) must be an int, a Fraction or a Poly: a float or a bool is a DomainError."""
 
 from fractions import Fraction
 
 import pytest
 
-from linrec import DomainError
+from linrec import DomainError, RecurrenceSpec
 from linrec.bell import bell_partial, bell_table, bell_truncated3, set_partition_oracle
 from linrec.lucas import k_lucas_number
-from linrec.oracle import char_poly, fit_recurrence, mat_pow, verify_recurrence
+from linrec.oracle import char_poly, fit_recurrence, mat_mul, mat_pow, verify_recurrence
+from linrec.sums import partial_sum_form
+
+FIB = RecurrenceSpec((1, 1), (0, 1))  # q(1) = -1, so every look-ahead sum divides exactly
 
 # each entry calls one public function with the bad value in one value slot
 ENTRIES = {
@@ -18,11 +21,13 @@ ENTRIES = {
     "bell_truncated3.x1": lambda v: bell_truncated3(2, 1, v, 1, 1),
     "bell_truncated3.x2": lambda v: bell_truncated3(2, 1, 1, v, 1),
     "bell_truncated3.x3": lambda v: bell_truncated3(2, 1, 1, 1, v),
+    "mat_mul.entry": lambda v: mat_mul([[v]], [[2]]),
     "mat_pow.entry": lambda v: mat_pow([[v]], 2),
     "char_poly.entry": lambda v: char_poly([[v]]),
     "verify_recurrence.terms": lambda v: verify_recurrence([1, 1, v], (1, 1)),
     "fit_recurrence.terms": lambda v: fit_recurrence([v, v, v, v], 1),
     "k_lucas_number.k": lambda v: k_lucas_number(v, 3),
+    "SumClosedForm.evaluate.lookahead": lambda v: partial_sum_form(FIB).evaluate((v, 1)),
 }
 BAD = [1.5, 2.0, True, "2", None]
 

@@ -35,3 +35,13 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_exports_are_exactly_the_imports():
+    # a name deleted from a module cannot linger in __all__, and no re-export goes unlisted
+    import linrec
+
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert sorted(linrec.__all__) == sorted(imported)
+    assert all(hasattr(linrec, name) for name in linrec.__all__)

@@ -1,4 +1,4 @@
-"""Every index argument (n, k, j, m, r, d, i, nvars, depth, upto, start, exponent) must be an int, not a bool, and in range."""
+"""Every index argument (n, k, j, m, r, d, i, nvars, depth, upto, exponent) must be an int, not a bool, and in range."""
 
 from fractions import Fraction
 
@@ -6,9 +6,7 @@ import pytest
 
 from linrec import CoeffVector, DomainError, Poly, RecurrenceSpec
 from linrec.bell import bell_partial, bell_table, bell_truncated3, set_partition_oracle
-from linrec.kernel import binomial
 from linrec.lucas import (
-    hat_closed_form,
     k_lucas_number,
     lucas_transform,
     lucas_transform_bell_prefix,
@@ -16,7 +14,7 @@ from linrec.lucas import (
     perrin_number,
     tribonacci_hat_number,
 )
-from linrec.oracle import CharPoly, char_poly_of_power, companion, fit_recurrence, mat_pow, verify_recurrence
+from linrec.oracle import CharPoly, char_poly_of_power, companion, fit_recurrence, mat_pow
 from linrec.progression import gamma_coefficients, subseq_recurrence, verify_slice
 from linrec.recurrence import seq_eval, seq_range, seq_window
 from linrec.sums import invert_partial_sum, invert_sequence, partial_sum_closed, progression_sum
@@ -53,12 +51,10 @@ ENTRIES = {
     "bell_truncated3.j": lambda v: bell_truncated3(3, v, 1, 1, 1),
     "set_partition_oracle.n": lambda v: set_partition_oracle(v, 1, (1, 1, 1)),
     "set_partition_oracle.k": lambda v: set_partition_oracle(3, v, (1, 1, 1)),
-    "LucasTransform.extended.upto": lambda v: lucas_transform((1, 1), 2).extended(v),
     "k_lucas_number.m": lambda v: k_lucas_number(1, v),
     "tribonacci_hat_number.m": lambda v: tribonacci_hat_number(v),
     "perrin_number.m": lambda v: perrin_number(v),
     "narayana_hat_number.m": lambda v: narayana_hat_number(v),
-    "hat_closed_form.m": lambda v: hat_closed_form("tribonacci", v),
     "mat_pow.exponent": lambda v: mat_pow(companion((1, 1)), v),
     "char_poly_of_power.m": lambda v: char_poly_of_power((1, 1), v),
     "Poly.variables.nvars": lambda v: Poly.variables(v),
@@ -67,8 +63,6 @@ ENTRIES = {
     "Poly.pow.exponent": lambda v: X**v,
     "fit_recurrence.d": lambda v: fit_recurrence(FIB_TERMS, v),
     "CharPoly.elementary.k": lambda v: CharPoly((1, 0, 0, 0, 1)).elementary(v),
-    "binomial.n": lambda v: binomial(v, 1),
-    "binomial.k": lambda v: binomial(3, v),
 }
 BAD = [2.5, 3.0, True, Fraction(3), "3", None, -1]
 
@@ -85,13 +79,3 @@ def test_good_index_is_accepted(entry):
     # so each rejection above comes from the slot under test, not from the other arguments
     ENTRIES[entry](3)
 
-
-# start=None is the documented default (start at d), so it is not a bad value here
-@pytest.mark.parametrize("bad", [b for b in BAD if b is not None] + [1], ids=repr)
-def test_bad_verify_start_is_a_domain_error(bad):
-    with pytest.raises(DomainError):
-        verify_recurrence(FIB_TERMS, (1, 1), start=bad)
-
-
-def test_good_verify_start_is_accepted():
-    assert verify_recurrence(FIB_TERMS, (1, 1), start=3) == []

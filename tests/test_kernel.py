@@ -7,7 +7,6 @@ import pytest
 from linrec import DivisionNotExact, DomainError, Poly
 from linrec.kernel import (
     as_integer,
-    binomial,
     exact_div,
     lower_like,
     ring_const,
@@ -16,38 +15,6 @@ from linrec.kernel import (
     value_from_json,
     value_to_json,
 )
-
-
-def pascal_oracle(n: int, k: int) -> int:
-    # independent route: additive Pascal recursion, no factorials
-    if k == 0:
-        return 1
-    if k > n:
-        return 0
-    row = [1]
-    for _ in range(n):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row[k]
-
-
-class TestBinomial:
-    def test_matches_pascal_recursion(self):
-        for n in range(0, 16):
-            for k in range(0, n + 1):
-                assert binomial(n, k) == pascal_oracle(n, k)
-
-    def test_golden(self):
-        assert binomial(30, 15) == 155117520
-        assert binomial(0, 0) == 1
-        assert binomial(7, 1) == 7
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            binomial(-1, 0)
-        with pytest.raises(DomainError):
-            binomial(3, -1)
-        with pytest.raises(DomainError):
-            binomial(3, 4)
 
 
 class TestExactDiv:
@@ -94,6 +61,10 @@ class TestExactDiv:
             exact_div(x * y, x)
         with pytest.raises(DomainError):
             exact_div(6, 1 - x - y)
+
+    def test_inexact_dividend(self):
+        with pytest.raises(DomainError):
+            exact_div(1.5, 2)
 
 
 class TestLowering:

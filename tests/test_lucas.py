@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from linrec import DomainError, Poly, UnknownFamily
+from linrec import DomainError, Poly
 from linrec.lucas import (
-    hat_closed_form,
     k_lucas_number,
     lucas_transform,
     lucas_transform_bell_prefix,
@@ -49,15 +48,16 @@ class TestGoldens:
 
     def test_extended_is_prefix_stable(self):
         base = lucas_transform((1, 1, 1), 5)
-        more = base.extended(12)
+        more = lucas_transform((1, 1, 1), 12)
         assert more.terms[:6] == base.terms
-        assert more.terms == lucas_transform((1, 1, 1), 12).terms
 
     def test_domain(self):
         with pytest.raises(DomainError):
             lucas_transform((1, 1), -1)
         with pytest.raises(DomainError):
             lucas_transform_bell_prefix((1, 1), 0)
+        with pytest.raises(DomainError):
+            k_lucas_number(2, 0)
 
 
 class TestTwoRoutes:
@@ -123,22 +123,6 @@ class TestClosedForms:
         terms = lucas_transform((1, 0, 1), 25).terms
         for m in range(1, 26):
             assert narayana_hat_number(m) == terms[m]
-
-    def test_dispatch(self):
-        assert hat_closed_form("k_fibonacci", 4, k=2) == k_lucas_number(2, 4)
-        assert hat_closed_form("tribonacci", 7) == tribonacci_hat_number(7)
-        assert hat_closed_form("padovan", 9) == perrin_number(9)
-        assert hat_closed_form("narayana", 5) == narayana_hat_number(5)
-
-    def test_dispatch_errors(self):
-        with pytest.raises(UnknownFamily):
-            hat_closed_form("catalan", 3)
-        with pytest.raises(DomainError):
-            hat_closed_form("k_fibonacci", 3)  # needs k
-        with pytest.raises(DomainError):
-            hat_closed_form("tribonacci", 3, k=2)  # k not accepted
-        with pytest.raises(DomainError):
-            k_lucas_number(2, 0)
 
     def test_doubling_large_index(self):
         # order-2 consistency at a size only the matrix route can reach quickly:

@@ -171,14 +171,6 @@ class TestVerify:
         # the corrupt term breaks its own window and the two windows using it
         assert bad == [17, 18, 19]
 
-    def test_start_below_order_rejected(self):
-        with pytest.raises(DomainError):
-            verify_recurrence([0, 1, 1], CoeffVector((1, 1)), start=1)
-
-    def test_custom_start(self):
-        terms = [9, 9, 0, 1, 1, 2, 3]  # garbage head, recurrence holds from index 4
-        assert verify_recurrence(terms, CoeffVector((1, 1)), start=4) == []
-
 
 class TestFit:
     def test_fibonacci(self):

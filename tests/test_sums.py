@@ -233,12 +233,8 @@ class TestWalkedHeads:
 
     def test_classic_prefixes(self):
         assert lucas_transform((1, 1, 1), 5).terms == (3, 1, 3, 7, 11, 21)
+        assert lucas_transform((1, 1, 1), 0).terms == (3,)
         assert invert_sequence((1, 1), 4) == [1, 1, 2, 3, 5]
-
-    def test_extended_from_short_head(self):
-        short = lucas_transform((1, 1, 1), 0)
-        assert short.terms == (3,)
-        assert short.extended(5).terms == (3, 1, 3, 7, 11, 21)
 
 
 class TestSymbolicSums:
