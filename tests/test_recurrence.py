@@ -38,7 +38,7 @@ def by_matrix(spec, n):
 def indices(name):
     """Indices on both sides of the walk/jump cutoff, and far past it for scalars (Poly terms grow fast)."""
     near = [_JUMP_CUTOFF - 1, _JUMP_CUTOFF, _JUMP_CUTOFF + 1]
-    return near[:2] if name.startswith("poly") else near + [997, 1000, 1024]
+    return near if name.startswith("poly") else near + [997, 1000, 1024]
 
 
 @functools.cache
@@ -47,8 +47,12 @@ def walk(name):
     return seq_range(SPECS[name], 0, _JUMP_CUTOFF + 8 if name.startswith("poly") else 1030)
 
 
-# (m, r, count): unit and wide strides, walked (last index < cutoff) and jumped
-STRIDES = [(1, 250, 9), (3, 250, 3), (7, 200, 9), (1, 260, 1), (250, 6, 2), (40, 3, 5)]
+# (m, r, count): unit and wide strides, walked (last index < cutoff) and jumped,
+# and single far terms (the half jump) at strides past 1
+STRIDES = [
+    (1, 250, 9), (3, 250, 3), (7, 200, 9), (1, 260, 1), (250, 6, 2), (40, 3, 5),
+    (2, 256, 1), (7, 257, 1), (300, 261, 1),
+]
 FAR_STRIDES = [(3, 0, 90), (300, 5, 2), (1, 500, 3), (111, 400, 3)]
 
 
@@ -87,6 +91,73 @@ class TestJumpWalkMatrix:
                 seq_window(TRIB, *bad)
 
 
+def half_jump_specs():
+    """Int specs of every order 1..8: random taps, and sparse ones (zero inner taps, c_d < 0)."""
+    rng = random.Random(73)
+    specs = []
+    for d in range(1, 9):
+        dense = [rng.randint(-2, 2) for _ in range(d - 1)] + [rng.choice((-2, -1, 1, 2))]
+        sparse = [1] + [0] * (d - 2) + [-2] if d > 1 else [-2]
+        for c in (dense, sparse):
+            specs.append(RecurrenceSpec(CoeffVector(tuple(c)), tuple(rng.randint(-5, 5) for _ in range(d))))
+    return specs
+
+
+class TestHalfJump:
+    """One far term: x^(n//2) mod q applied to a window of terms near n/2, not squared."""
+
+    # both parities on each side of the first powers of two past the cutoff
+    INDICES = [2**k + e for k in range(8, 12) for e in (-1, 0, 1)]
+
+    def test_against_walk_and_matrix(self):
+        for spec in half_jump_specs():
+            terms = seq_range(spec, 0, self.INDICES[-1])
+            for n in self.INDICES:
+                assert seq_eval(spec, n) == terms[n] == by_matrix(spec, n), (spec, n)
+
+    def test_product_count(self, monkeypatch):
+        # one _mulmod per squaring of x^(n//2) mod q; the window and the last step use none
+        calls = []
+        real = recurrence._mulmod
+
+        def counted(a, b, c):
+            calls.append(1)
+            return real(a, b, c)
+
+        monkeypatch.setattr(recurrence, "_mulmod", counted)
+        for spec in (TRIB, SPECS["int-d1"], SPECS["int-d5"], SPECS["fraction-d3"]):
+            for n in (_JUMP_CUTOFF, _JUMP_CUTOFF + 1, 511, 512, 1000, 4097, 10**5):
+                calls.clear()
+                seq_eval(spec, n)
+                assert len(calls) == (n // 2).bit_length(), (spec, n)
+        for m in (_JUMP_CUTOFF, 1025):
+            calls.clear()
+            gamma_coefficients((1, 1), m)
+            assert len(calls) == (m // 2).bit_length()
+
+    def test_against_walk_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ints = st.integers(-3, 3)
+        scalars = {"int": ints, "fraction": st.one_of(ints, st.builds(Fraction, ints, st.sampled_from([2, 3, 6])))}
+
+        @st.composite
+        def cases(draw):
+            d = draw(st.integers(1, 6))
+            scalar = scalars[draw(st.sampled_from(sorted(scalars)))]
+            c = [draw(scalar) for _ in range(d - 1)] + [draw(scalar.filter(bool))]
+            head = [draw(scalar) for _ in range(d)]
+            return RecurrenceSpec(CoeffVector(tuple(c)), tuple(head)), draw(st.integers(_JUMP_CUTOFF, 1500))
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(cases())
+        def check(case):
+            spec, n = case
+            assert seq_eval(spec, n) == recurrence._extend(spec.coeffs.c, list(spec.initial), n)[n]
+
+        check()
+
+
 class TestFarSlices:
     def test_subseq_initial_terms_far_offset(self):
         rng = random.Random(72)
@@ -106,7 +177,8 @@ class TestFarSlices:
             return bell_table(upto, x)
 
         monkeypatch.setattr(progression, "bell_table", spy)
-        for c in ((1, 1, 1), (2, -1, 3), (1, 0, 1, -1)):
+        # at d = 2 without the cross-check gamma asks for hat_m alone: the single-term route
+        for c in ((1, 1), (-3, 2), (Fraction(1, 2), 3), (1, 1, 1), (2, -1, 3), (1, 0, 1, -1)):
             depth = len(c) if cross_check else len(c) - 1
             for m in range(_JUMP_CUTOFF // depth - 1, _JUMP_CUTOFF // depth + 2):
                 seen.clear()
