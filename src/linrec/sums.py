@@ -9,6 +9,11 @@ the convention c_0 = -1.  When q(1) != 0 this solves the partial sum in
 closed form from d look-ahead terms; when q(1) = 0 no closed form of this
 shape exists (DegenerateDivisor) and callers fall back to direct summation.
 
+The weighted sequence a'_k = sum_j w_j a_{k+j} satisfies the same
+recurrence, so the identity reads S_n = (a'_{n+1} - a'_0) / q(1): past the
+jump cutoff (n + d >= 256) a sum is one far term, a half jump from the head
+a'_0..a'_{d-1}; below it the d look-ahead terms a_{n+1}..a_{n+d} are walked.
+
 The same machinery applies to arithmetic-progression subsequences: their own
 recurrence (from :mod:`linrec.progression`) is summed the same way, and its
 divisor can degenerate even when the base one does not (coefficients (1,-1)
@@ -24,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import DomainError, _check_exact, _check_index, exact_div, ring_const
+from .kernel import DomainError, Poly, _check_exact, _check_index, exact_div, ring_const
 from .progression import subseq_recurrence
-from .recurrence import RecurrenceSpec, _extend, as_coeff_vector, seq_range
+from .recurrence import _JUMP_CUTOFF, RecurrenceSpec, _extend, as_coeff_vector, seq_eval, seq_range, seq_window
 
 
 class DegenerateDivisor(ArithmeticError):
@@ -70,10 +75,24 @@ def partial_sum_form(spec: RecurrenceSpec) -> SumClosedForm:
 
 
 def partial_sum_closed(spec: RecurrenceSpec, n: int):
-    """sum_{j=0..n} a_j in closed form, exactly."""
+    """sum_{j=0..n} a_j in closed form, exactly: (a'_{n+1} - a'_0) / q(1).
+
+    Past the cutoff a'_{n+1} is a half jump from a'_0..a'_{d-1}, which are
+    formed from a_0..a_{2d-2}; below it the form is applied to the walked
+    look-ahead terms a_{n+1}..a_{n+d}.  A non-constant polynomial q(1)
+    raises DomainError before any term is computed.
+    """
     _check_index(n, "n")
     form = partial_sum_form(spec)
-    return form.evaluate(seq_range(spec, n + 1, n + spec.order))
+    if isinstance(form.divisor, Poly) and form.divisor.total_degree() > 0:
+        raise DomainError(f"the closed sum divides by q(1) = {form.divisor}, a polynomial")
+    d = spec.order
+    if n + d < _JUMP_CUTOFF:
+        return form.evaluate(seq_range(spec, n + 1, n + d))
+    a = seq_window(spec, 0, 2 * d - 1)
+    head = tuple(sum(w * t for w, t in zip(form.weights, a[k : k + d])) for k in range(d))
+    weighted = RecurrenceSpec(spec.coeffs, head)  # a'_k = sum_j w_j a_{k+j}
+    return exact_div(seq_eval(weighted, n + 1) + form.constant, form.divisor)
 
 
 @dataclass(frozen=True)

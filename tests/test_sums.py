@@ -1,13 +1,14 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from linrec import CoeffVector, DegenerateDivisor, DomainError, InvalidCoeffs, Poly, RecurrenceSpec
+from linrec import CoeffVector, DegenerateDivisor, DomainError, InvalidCoeffs, Poly, RecurrenceSpec, recurrence, sums
 from linrec.lucas import lucas_transform, lucas_transform_bell_prefix
 from linrec.oracle import companion, mat_pow
-from linrec.progression import gamma_coefficients
-from linrec.recurrence import seq_eval, seq_range
+from linrec.progression import gamma_coefficients, subseq_recurrence
+from linrec.recurrence import _JUMP_CUTOFF, seq_eval, seq_range, seq_window
 from linrec.sums import (
     invert_partial_sum,
     invert_sequence,
@@ -247,6 +248,80 @@ class TestSymbolicSums:
     def test_progression_sum_rejected(self):
         with pytest.raises(DomainError):
             progression_sum(self.SPEC, 2, 1, 4)
+
+    def test_far_sums_rejected_before_any_term(self, monkeypatch):
+        spec = RecurrenceSpec(CoeffVector(Poly.variables(3)), (0, 0, 1))
+        assert partial_sum_form(spec).divisor == 1 - sum(Poly.variables(3))
+
+        def no_terms(*args):
+            raise AssertionError("a term was computed for a sum that cannot be divided out")
+
+        for name in ("seq_range", "seq_window", "seq_eval"):
+            monkeypatch.setattr(sums, name, no_terms)
+        start = time.perf_counter()
+        with pytest.raises(DomainError):
+            partial_sum_closed(spec, 10**6)
+        with pytest.raises(DomainError):
+            progression_sum(spec, 2, 1, 10**6)
+        assert time.perf_counter() - start < 1.0
+
+
+class TestFarSums:
+    """Past the cutoff a closed sum is one far term of the weighted sequence a'_k = sum_j w_j a_{k+j}."""
+
+    SPECS = (
+        TRIB,
+        RecurrenceSpec(CoeffVector((-3,)), (2,)),
+        RecurrenceSpec(CoeffVector((Fraction(5, 2), -1, 1)), (1, Fraction(1, 2), 3)),
+        RecurrenceSpec(CoeffVector((Fraction(1, 3),)), (Fraction(2, 7),)),
+    )
+
+    def test_product_count(self, monkeypatch):
+        # one _mulmod per squaring of the half jump to a'_(n+1); the head and the last step use none
+        calls = []
+        real = recurrence._mulmod
+
+        def counted(a, b, c):
+            calls.append(1)
+            return real(a, b, c)
+
+        monkeypatch.setattr(recurrence, "_mulmod", counted)
+        for spec in self.SPECS:
+            for n in (_JUMP_CUTOFF - 1, _JUMP_CUTOFF, 511, 512, 1000, 4097, 10**5):
+                calls.clear()
+                partial_sum_closed(spec, n)
+                assert len(calls) == ((n + 1) // 2).bit_length(), (spec, n)
+
+    def test_against_direct_sums_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ints = st.integers(-3, 3)
+        scalars = {"int": ints, "fraction": st.one_of(ints, st.builds(Fraction, ints, st.sampled_from([2, 3, 6])))}
+
+        @st.composite
+        def cases(draw):
+            d = draw(st.integers(1, 6))
+            scalar = scalars[draw(st.sampled_from(sorted(scalars)))]
+            c = [draw(scalar) for _ in range(d - 1)] + [draw(scalar.filter(bool))]
+            hypothesis.assume(sum(c) != 1)
+            head = [draw(scalar) for _ in range(d)]
+            n = draw(st.integers(250, 1500)) - d
+            return RecurrenceSpec(CoeffVector(tuple(c)), tuple(head)), n, draw(st.integers(1, 3)), draw(st.integers(0, 5))
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(cases())
+        def check(case):
+            spec, n, m, r = case
+            closed = partial_sum_closed(spec, n)
+            assert closed == sum(seq_window(spec, 0, n + 1))
+            assert closed == partial_sum_form(spec).evaluate(seq_window(spec, n + 1, spec.order))
+            if sum(subseq_recurrence(spec, m, r).coeffs.c) == 1:
+                with pytest.raises(DegenerateDivisor):
+                    progression_sum(spec, m, r, n)
+            else:
+                assert progression_sum(spec, m, r, n) == sum(seq_window(spec, 0, m * n + r + 1)[r::m])
+
+        check()
 
 
 class TestProgressionSum:
