@@ -24,7 +24,7 @@ from .bell import _bell_row_sum, bell_table
 from .kernel import DomainError, Poly, _check_index
 from .lucas import lucas_transform
 from .oracle import UNDERDETERMINED, NoSolution, char_poly_of_power, fit_recurrence, verify_recurrence
-from .recurrence import CoeffVector, RecurrenceSpec, _stride_terms, as_coeff_vector
+from .recurrence import CoeffVector, RecurrenceSpec, _stride_heads, _stride_terms, as_coeff_vector
 
 #: Most slice terms verify_slice checks: the direct check and the re-fit grow with it.
 _MAX_DEPTH = 10_000
@@ -57,16 +57,20 @@ def gamma_coefficients(coeffs, m: int, *, cross_check: bool = False) -> GammaVec
     """
     cv = as_coeff_vector(coeffs)
     _check_index(m, "m", 1)
+    depth = cv.d if cross_check else cv.d - 1
+    return _gamma_from_hats(cv, m, _stride_terms(cv.c, lucas_transform(cv, cv.d - 1).terms, m, m, depth))
+
+
+def _gamma_from_hats(cv: CoeffVector, m: int, hats: list) -> GammaVector:
+    """Gamma from hat_m, hat_{2m}, ...: d - 1 of them, or d to cross-check the trailing coefficient."""
     d = cv.d
-    depth = d if cross_check else d - 1
-    hats = _stride_terms(cv.c, lucas_transform(cv, d - 1).terms, m, m, depth)
     x = tuple(math.factorial(i) * hat for i, hat in enumerate(hats))
-    table = bell_table(depth, x)
+    table = bell_table(len(hats), x)
     signs = (1, -1) * d  # (-1)^{j+1} for j = 1, 2, ...
     gamma = [_bell_row_sum(table[k], signs, math.factorial(k), cv.c) for k in range(1, d)]
     sign = (-1) ** ((d + 1) * (m + 1))
     last = sign * cv.c[-1] ** m
-    if cross_check:
+    if len(hats) == d:
         from_bell = _bell_row_sum(table[d], signs, math.factorial(d), cv.c)
         if from_bell != last:
             raise ArithmeticError(
@@ -79,13 +83,18 @@ def gamma_coefficients(coeffs, m: int, *, cross_check: bool = False) -> GammaVec
 def subseq_recurrence(spec: RecurrenceSpec, m: int, r: int) -> RecurrenceSpec:
     """The recurrence b_n = a_{mn+r} satisfies, with its initial terms.
 
-    The coefficient vector does not depend on r; the initial terms
-    a_r, a_{m+r}, ..., a_{(d-1)m+r} are jumped to.  The relation holds for n >= d.
+    The coefficient vector does not depend on r.  One chain of residues
+    x^m, ..., x^{(d-1)m} mod q serves both halves of the slice: applied to
+    the trace head hat_0..hat_{d-1} it gives gamma's trace terms
+    hat_m..hat_{(d-1)m}, and applied to the window a_r..a_{r+d-1} it gives
+    the initial terms a_{m+r}, ..., a_{(d-1)m+r}.  The relation holds for n >= d.
     """
     _check_index(r, "r")
-    gv = gamma_coefficients(spec.coeffs, m)
-    initial = _stride_terms(spec.coeffs.c, spec.initial, m, r, spec.order)
-    return RecurrenceSpec(gv.coeffs, tuple(initial))
+    _check_index(m, "m", 1)
+    cv = spec.coeffs
+    window = _stride_terms(cv.c, spec.initial, 1, r, cv.d)
+    hats, ahead = _stride_heads(cv.c, (lucas_transform(cv, cv.d - 1).terms, window), m, m, cv.d - 1)
+    return RecurrenceSpec(_gamma_from_hats(cv, m, hats).coeffs, (window[0], *ahead))
 
 
 @dataclass(frozen=True)

@@ -8,19 +8,21 @@ c_1..c_d (c_d nonzero) with
 together with initial terms a_0..a_{d-1}.  Coefficients and terms may live in
 any of the exact domains from :mod:`linrec.kernel`.
 
-Jumps and short walks (:func:`_stride_terms`, behind every single-term,
+Jumps and short walks (:func:`_stride_heads`, behind every single-term,
 window and slice call) clear a rational spec's denominators once: with D the
-lcm of the coefficients' denominators and e that of the initial terms',
-b_n = e*D^n*a_n satisfies the integer recurrence c_i*D^i, which is run
-instead, and a_n = b_n / (e*D^n) is read off at the end.  Long forward walks
-(:func:`_extend` behind ``seq_range``'s tail) stay in the data's own domain,
-where scaling would not pay: the per-term gcd of the output dominates them.
+lcm of the coefficients' denominators and e that of the initial terms'
+(one e for each set of initial terms), b_n = e*D^n*a_n satisfies the
+integer recurrence c_i*D^i, which is run instead, and a_n = b_n / (e*D^n)
+is read off at the end.  Long forward walks (:func:`_extend` behind
+``seq_range``'s tail) stay in the data's own domain, where scaling would not
+pay: the per-term gcd of the output dominates them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 from .kernel import Poly, _check_exact, _check_index, _clear_denominators
@@ -154,55 +156,83 @@ def _xpow(c: tuple, n: int) -> list:
 _JUMP_CUTOFF = 256
 
 
-def _stride_terms(c: tuple, head, m: int, r: int, count: int) -> list:
-    """t_r, t_{r+m}, ..., t_{r+(count-1)m} of the sequence with recurrence c and initial terms head.
+def _shifted(c: tuple, residue: list, head, s: int, count: int) -> list:
+    """t_{n+s}..t_{n+s+count-1} from residue = x^n mod q, applied to head walked forward by s..s+count-1."""
+    d = len(c)
+    a = _extend(c, list(head), s + count + d - 2)
+    return [sum(map(mul, residue, a[j : j + d])) for j in range(s, s + count)]
 
+
+def _stride_heads(c: tuple, heads, m: int, r: int, count: int) -> list:
+    """For each head, t_r, t_{r+m}, ..., t_{r+(count-1)m} of the sequence with recurrence c and that head.
+
+    Every head takes its terms from the same residues x^n mod q, built once.
     Small last indices walk.  A single larger index takes a half jump (see
-    below); several take x^r mod q once and step by multiplying with x^m mod
-    q, applying each residue to head.  Int and Fraction data with some
-    Fraction runs as the integer sequence b_n = e*D^n*a_n (see the module
-    docstring); indices below d return head's own values.
+    below); a window (m = 1) applies x^r mod q to each head walked forward
+    over the window; a wider stride takes x^r mod q once and steps it by
+    multiplying with x^m mod q.  Int and Fraction data with some Fraction runs
+    as the integer sequences b_n = e*D^n*a_n, one D for the coefficients and
+    one e per head (see the module docstring); indices below d return the
+    head's own values, and a head of ints under int coefficients stays int.
     """
     if count < 1:
-        return []
-    kinds = set(map(type, (*c, *head)))
+        return [[] for _ in heads]
+    kinds = set(map(type, chain(c, *heads)))
     if Fraction in kinds and kinds <= {int, Fraction}:
         D, cD = _clear_denominators(c)  # cD[i-1] = c_i*D
-        e, ea = _clear_denominators(head)  # ea[j] = e*a_j
         lifted_c = tuple(x * D ** (i - 1) for i, x in enumerate(cD, start=1))
-        lifted_head = tuple(x * D**j for j, x in enumerate(ea))
-        scale, step = e * D**r, D**m
+        es, eas = zip(*map(_clear_denominators, heads))  # eas[h][j] = e_h*a_j
+        lifted_heads = [tuple(x * D**j for j, x in enumerate(ea)) for ea in eas]
         out = []
-        for k, b in enumerate(_stride_terms(lifted_c, lifted_head, m, r, count)):
-            i = r + k * m
-            out.append(head[i] if i < len(head) else Fraction(b, scale))
-            scale *= step
+        for head, e, bs in zip(heads, es, _stride_heads(lifted_c, lifted_heads, m, r, count)):
+            if Fraction not in set(map(type, (*c, *head))):
+                out.append(bs)  # D = e = 1
+                continue
+            terms, scale, step = [], e * D**r, D**m
+            for k, b in enumerate(bs):
+                i = r + k * m
+                terms.append(head[i] if i < len(head) else Fraction(b, scale))
+                scale *= step
+            out.append(terms)
         return out
     last = r + (count - 1) * m
     if last < _JUMP_CUTOFF:
-        return _extend(c, list(head[: last + 1]), last)[r : last + 1 : m]
+        return [_extend(c, list(head[: last + 1]), last)[r : last + 1 : m] for head in heads]
     if count == 1:
         # half jump: half = x^h mod q applied to the head shifted by j gives a_{h+j},
         # so with s = r - 2h the window a_{h+s}..a_{h+s+d-1} costs products by small
         # head terms, and half applied to that window is a_r: d full-size products
         # where squaring half would take d(d+1)/2
-        d, h = len(c), r // 2
-        half, s = _xpow(c, h), r - 2 * h
-        a = _extend(c, list(head), s + 2 * d - 2)
-        window = [sum(map(mul, half, a[j : j + d])) for j in range(s, s + d)]
-        return [sum(map(mul, half, window))]
+        h = r // 2
+        half = _xpow(c, h)
+        return [[sum(map(mul, half, _shifted(c, half, head, r - 2 * h, len(c))))] for head in heads]
+    if m == 1:
+        residue = _xpow(c, r)
+        return [_shifted(c, residue, head, 0, count) for head in heads]
     step = _xpow(c, m)
     residue = step if r == m else _xpow(c, r)
-    out = []
+    out = [[] for _ in heads]
     for k in range(count):
         if k:
             residue = _mulmod(residue, step, c)
-        out.append(sum(map(mul, residue, head)))
+        for terms, head in zip(out, heads):
+            terms.append(sum(map(mul, residue, head)))
     return out
 
 
+def _stride_terms(c: tuple, head, m: int, r: int, count: int) -> list:
+    """t_r, t_{r+m}, ..., t_{r+(count-1)m} of the sequence with recurrence c and initial terms head.
+
+    The one-head case of :func:`_stride_heads`.  ``subseq_recurrence`` calls
+    that with two heads, the trace head hat_0..hat_{d-1} and the window
+    a_r..a_{r+d-1}, so one chain x^m, ..., x^{(d-1)m} mod q gives both gamma's
+    trace terms and the slice's initial terms.
+    """
+    return _stride_heads(c, (head,), m, r, count)[0]
+
+
 def seq_window(spec: RecurrenceSpec, n: int, k: int) -> list:
-    """Terms a_n..a_{n+k-1}; past the cutoff each comes from x^i mod q, not a walk from a_0."""
+    """Terms a_n..a_{n+k-1}; past the cutoff x^n mod q applied to the initial terms walked k - 1 steps on."""
     _check_index(n, "n")
     _check_index(k, "k")
     return _stride_terms(spec.coeffs.c, spec.initial, 1, n, k)

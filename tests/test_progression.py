@@ -120,6 +120,19 @@ class TestGammaRoutes:
             fast = gamma_coefficients(spec.coeffs.c, m)
             assert full.gamma == fast.gamma
 
+    def test_cross_check_bites(self, monkeypatch):
+        # hat_dm off by d moves only the k = d Bell sum, by 1, and only the cross-check evaluates it
+        real = progression._stride_terms
+
+        def last_hat_off(c, head, m, r, count):
+            hats = real(c, head, m, r, count)
+            return hats[:-1] + [hats[-1] + count] if count == len(c) else hats
+
+        monkeypatch.setattr(progression, "_stride_terms", last_hat_off)
+        assert gamma_coefficients((1, 1, 1), 5).gamma == char_poly_of_power((1, 1, 1), 5).c
+        with pytest.raises(ArithmeticError, match="trailing coefficient mismatch"):
+            gamma_coefficients((1, 1, 1), 5, cross_check=True)
+
 
 class TestSubsequence:
     def test_initial_terms(self):

@@ -188,6 +188,86 @@ class TestFarSlices:
                 assert gv.coeffs == char_poly_of_power(c, m)
 
 
+def unshared_slice(spec, m, r):
+    """The slice recurrence with gamma's trace terms and the initial terms taken by two separate routes."""
+    c = spec.coeffs.c
+    return RecurrenceSpec(gamma_coefficients(c, m).coeffs, tuple(_stride_terms(c, spec.initial, m, r, spec.order)))
+
+
+def value_types(spec):
+    return [type(v) for v in spec.coeffs.c + spec.initial]
+
+
+class TestSharedChain:
+    """subseq_recurrence applies one chain x^m, ..., x^((d-1)m) mod q to the trace head and to a_r..a_(r+d-1)."""
+
+    SPECS = [
+        SPECS["int-d1"], SPECS["fraction-d1"],
+        RecurrenceSpec(CoeffVector((1, 1)), (0, 1)),
+        RecurrenceSpec(CoeffVector((Fraction(1, 2), 3)), (1, Fraction(2, 3))),
+        TRIB, SPECS["int-d3"], SPECS["fraction-d3"], SPECS["int-d5"],
+        RecurrenceSpec(CoeffVector((1,) * 6), (0,) * 5 + (1,)),
+    ]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real = recurrence._mulmod
+
+        def counted(a, b, c):
+            calls.append(1)
+            return real(a, b, c)
+
+        monkeypatch.setattr(recurrence, "_mulmod", counted)
+        return calls
+
+    def test_product_count(self, calls):
+        # near window walked, chain jumped: x^m, then d - 2 steps by it (a half jump at d = 2)
+        for spec in self.SPECS:
+            d = spec.order
+            for m in {-(-_JUMP_CUTOFF // max(d - 1, 1)), 1000, 6002}:
+                for r in (0, 39, _JUMP_CUTOFF - d):
+                    calls.clear()
+                    subseq_recurrence(spec, m, r)
+                    want = 0 if d == 1 else (m // 2).bit_length() if d == 2 else m.bit_length() + d - 2
+                    assert len(calls) == want, (spec, m, r)
+
+    def test_far_window_product_count(self, calls):
+        # the far window is x^300 applied to the head walked forward (9 calls; stepping x^300
+        # by x would add d), then the chain: a half jump at d = 2, x^300 and one step at d = 3
+        for c, head in (((1, 1), (0, 1)), ((1, 1, 1), (0, 0, 1))):
+            calls.clear()
+            subseq_recurrence(RecurrenceSpec(CoeffVector(c), head), 300, 300)
+            assert len(calls) == {2: 9 + 8, 3: 9 + 9 + 1}[len(c)]
+
+    def test_against_unshared_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ints = st.integers(-3, 3)
+        scalars = {"int": ints, "fraction": st.one_of(ints, st.builds(Fraction, ints, st.sampled_from([2, 3, 6])))}
+
+        @st.composite
+        def cases(draw):
+            d = draw(st.integers(1, 6))
+            scalar = scalars[draw(st.sampled_from(sorted(scalars)))]
+            c = [draw(scalar) for _ in range(d - 1)] + [draw(scalar.filter(bool))]
+            head = [draw(scalar) for _ in range(d)]
+            m = draw(st.one_of(st.integers(1, 3), st.integers(60, 300)))
+            r = draw(st.one_of(st.integers(0, 6), st.integers(_JUMP_CUTOFF - 8, _JUMP_CUTOFF + 8)))
+            return RecurrenceSpec(CoeffVector(tuple(c)), tuple(head)), m, r
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(cases())
+        def check(case):
+            sub, want = subseq_recurrence(*case), unshared_slice(*case)
+            assert sub == want and value_types(sub) == value_types(want)
+
+        check()
+        for r in (0, _JUMP_CUTOFF + 1):
+            sub, want = subseq_recurrence(SPECS["poly-d2"], 2, r), unshared_slice(SPECS["poly-d2"], 2, r)
+            assert sub == want and value_types(sub) == value_types(want)
+
+
 class TestClosedFormsDoNotWalk:
     """A closed form must not walk to a far index: counted by refusing long walks."""
 
@@ -333,8 +413,9 @@ class TestRationalSpecsStayIntegral:
         m = max(n // 2, 1)
         gv = gamma_coefficients(spec.coeffs, m)
         assert gv.coeffs == char_poly_of_power(spec.coeffs, m)
-        sub = subseq_recurrence(spec, m, 3)
-        assert sub.initial == tuple(seq_eval(spec, m * i + 3) for i in range(3))
+        for r in (3, 300):  # the slice's window walked and jumped
+            sub = subseq_recurrence(spec, m, r)
+            assert sub.initial == tuple(seq_eval(spec, m * i + r) for i in range(3))
         assert progression.verify_slice(spec, m, 3, depth=8).passed
 
     def test_guard_bites(self, no_fractions):
