@@ -46,7 +46,7 @@ def _scalars(text: str) -> tuple:
     """--init, and --coeffs before its own check: comma-separated integers or p/q."""
     try:
         return tuple(scalar_from_str(tok) for tok in text.split(","))
-    except (ValueError, ZeroDivisionError):
+    except ValueError:  # scalar_from_str's DomainError
         raise argparse.ArgumentTypeError(
             f"cannot parse {text!r}: expected comma-separated integers or p/q"
         ) from None

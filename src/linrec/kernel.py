@@ -41,7 +41,10 @@ def _check_index(value, name: str, least: int = 0) -> None:
 
 def _check_exact(values, what: str, error: type = DomainError) -> tuple:
     """values as a tuple, after rejecting (with error) any that is not exact: an int, Fraction or Poly, never a bool."""
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise error(f"{what} must be a sequence of exact values, got {values!r}") from None
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, Fraction, Poly)):
             raise error(f"{what} must be exact (int, Fraction or Poly), got {v!r}")
@@ -61,8 +64,9 @@ def exact_div(a, n):
     In the int domain the quotient must be an integer (DivisionNotExact
     otherwise).  Fraction and Poly values divide exactly by construction.
     A Fraction or constant Poly divisor is accepted for rational-coefficient
-    callers; a non-constant Poly divisor raises DomainError.
+    callers; a non-constant Poly divisor, or a float or bool argument, raises DomainError.
     """
+    _check_exact((a, n), "exact_div arguments")
     if n == 0:
         raise ZeroDivisionError("exact_div by zero")
     if isinstance(n, Poly):
@@ -76,9 +80,7 @@ def exact_div(a, n):
         if r:
             raise DivisionNotExact(f"{a} is not divisible by {n}")
         return q
-    if isinstance(a, (int, Fraction)) and isinstance(n, (int, Fraction)):
-        return Fraction(a) / Fraction(n)
-    raise DomainError(f"exact_div does not apply to {type(a).__name__}")
+    return Fraction(a) / Fraction(n)
 
 
 def as_integer(x) -> int:
@@ -400,18 +402,18 @@ def _settle(terms: dict, keys=None) -> dict:
 
 def scalar_to_str(x: Scalar) -> str:
     """Render an exact scalar: decimal for integers (whole Fractions too), ``p/q`` otherwise."""
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return str(x)
-    raise TypeError(f"not an exact scalar: {x!r}")
+    raise DomainError(f"not an exact scalar: {x!r}")
 
 
 def scalar_from_str(text: str) -> Scalar:
-    """Parse a decimal integer or a ``p/q`` rational.  Inverse of scalar_to_str."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return _lower(Fraction(int(num), int(den)))
-    return int(text)
+    """Parse a decimal integer or a ``p/q`` rational with q != 0.  Inverse of scalar_to_str."""
+    try:
+        num, slash, den = text.strip().partition("/")
+        return _lower(Fraction(int(num), int(den))) if slash else int(num)
+    except (AttributeError, ValueError, ZeroDivisionError):
+        raise DomainError(f"expected a decimal integer or p/q with q != 0, got {text!r}") from None
 
 
 def value_to_json(x) -> str | dict:
@@ -431,5 +433,8 @@ def value_from_json(payload) -> RingElement:
     """Inverse of value_to_json."""
     if isinstance(payload, str):
         return scalar_from_str(payload)
-    terms = [(rec["exponents"], scalar_from_str(rec["coefficient"])) for rec in payload["terms"]]
-    return Poly(payload["nvars"], terms)
+    try:
+        terms = [(rec["exponents"], scalar_from_str(rec["coefficient"])) for rec in payload["terms"]]
+        return Poly(payload["nvars"], terms)
+    except (TypeError, KeyError, IndexError):
+        raise DomainError(f"expected a decimal string or a Poly payload, got {payload!r:.80}") from None

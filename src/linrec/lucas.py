@@ -23,18 +23,18 @@ import math
 
 from .bell import _bell_row_sum, bell_table
 from .kernel import _check_exact, _check_index, as_integer, lower_like, ring_const
-from .recurrence import CoeffVector, _extend, as_coeff_vector
+from .recurrence import CoeffVector, _stride_terms, as_coeff_vector
 
 
-def _newton_head(c: tuple, terms: list, upto: int) -> list:
-    """Grow trace terms (holding hat_0 = d) in place by Newton's identities to hat_{min(upto, d-1)}.
+def _trace_head(c: tuple) -> tuple:
+    """hat_0..hat_{d-1} by Newton's identities: the trace sequence's initial terms.
 
     From hat_d on, Newton's identity is the recurrence itself, because hat_0 = d.
     """
-    while len(terms) <= min(upto, len(c) - 1):
-        n = len(terms)
+    terms = [ring_const(len(c), c)]
+    for n in range(1, len(c)):
         terms.append(sum(c[j - 1] * terms[n - j] for j in range(1, n)) + n * c[n - 1])
-    return terms
+    return tuple(terms)
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,10 @@ class LucasTransform:
 
 
 def lucas_transform(coeffs, upto: int) -> LucasTransform:
-    """Trace terms hat_0..hat_upto via Newton's identities plus the recurrence."""
+    """Trace terms hat_0..hat_upto: the window from hat_0 of the recurrence with the Newton head."""
     cv = as_coeff_vector(coeffs)
     _check_index(upto, "upto")
-    c = cv.c
-    return LucasTransform(cv, tuple(_extend(c, _newton_head(c, [ring_const(cv.d, c)], upto), upto)))
+    return LucasTransform(cv, tuple(_stride_terms(cv.c, _trace_head(cv.c), 1, 0, upto + 1)))
 
 
 def lucas_transform_bell_prefix(coeffs, upto: int) -> list:
@@ -78,9 +77,7 @@ def k_lucas_number(k, m: int):
     _check_exact((k,), "k")
     _check_index(m, "m", 1)
     total = Fraction(0)
-    for j in range(0, m):
-        if 2 * j > m:
-            continue
+    for j in range(m // 2 + 1):
         total += Fraction(m, m - j) * math.comb(m - j, j) * k ** (m - 2 * j)
     return lower_like(total, (k,))
 
@@ -90,9 +87,7 @@ def tribonacci_hat_number(m: int) -> int:
     _check_index(m, "m", 1)
     total = Fraction(0)
     for j in range(0, m):
-        for l in range((j + 1) // 2, j + 1):
-            if l > m - j:
-                continue
+        for l in range((j + 1) // 2, min(j, m - j) + 1):
             total += Fraction(m, m - j) * math.comb(m - j, l) * math.comb(l, j - l)
     return as_integer(total)
 
@@ -101,9 +96,7 @@ def perrin_number(m: int) -> int:
     """m-th term of the trace sequence of coefficients (0, 1, 1)."""
     _check_index(m, "m", 1)
     total = Fraction(0)
-    for j in range((m + 1) // 2, m):
-        if 2 * j - m > m - j:
-            continue
+    for j in range((m + 1) // 2, 2 * m // 3 + 1):
         total += Fraction(m, m - j) * math.comb(m - j, 2 * j - m)
     return as_integer(total)
 
@@ -112,8 +105,6 @@ def narayana_hat_number(m: int) -> int:
     """m-th term of the trace sequence of coefficients (1, 0, 1)."""
     _check_index(m, "m", 1)
     total = Fraction(0)
-    for j in range(0, (m - 1) // 2 + 1):
-        if 3 * j > m:
-            continue
+    for j in range(min((m - 1) // 2, m // 3) + 1):
         total += Fraction(m, m - 2 * j) * math.comb(m - 2 * j, j)
     return as_integer(total)

@@ -61,12 +61,20 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def _check_rows(mat: list[list], width: int, what: str) -> None:
+    """Reject a matrix with a row that is not width entries long, or an entry that is not exact."""
+    for row in mat:  # row by row, so no check builds a tuple of all the entries
+        if len(row) != width:
+            raise DomainError(f"{what}: a row of {len(row)} entries where {width} are needed")
+        _check_exact(row, "matrix entries")
+
+
 def mat_mul(a: list[list], b: list[list]) -> list[list]:
-    """Matrix product a*b of exact entries (a float or bool entry is a DomainError)."""
+    """Matrix product a*b of exact entries (a float or bool entry, or a ragged row, is a DomainError)."""
     if not a or len(a[0]) != len(b):
         raise DomainError("matrix shapes do not compose")
-    for row in (*a, *b):  # row by row, so no product builds a tuple of all its 2d^2 entries
-        _check_exact(row, "matrix entries")
+    _check_rows(a, len(b), "mat_mul")
+    _check_rows(b, len(b[0]) if b else 0, "mat_mul")
     cols = list(zip(*b))
     return [[_dot(row, col) for col in cols] for row in a]
 
@@ -74,10 +82,8 @@ def mat_mul(a: list[list], b: list[list]) -> list[list]:
 def mat_pow(mat: list[list], exponent: int) -> list[list]:
     """Matrix power by binary exponentiation; exponent 0 gives the identity."""
     n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise DomainError("mat_pow needs a square matrix")
+    _check_rows(mat, n, "mat_pow needs a square matrix")
     _check_index(exponent, "exponent")
-    _check_exact((v for row in mat for v in row), "matrix entries")
     result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     base = mat
     while exponent:
@@ -90,6 +96,7 @@ def mat_pow(mat: list[list], exponent: int) -> list[list]:
 
 
 def mat_trace(mat: list[list]):
+    _check_rows(mat, len(mat), "mat_trace needs a square matrix")
     return sum(mat[i][i] for i in range(len(mat)))
 
 
@@ -126,9 +133,7 @@ def char_poly(mat: list[list]) -> CharPoly:
     row R, border column C and previous block S.
     """
     n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise DomainError("char_poly needs a square matrix")
-    _check_exact((v for row in mat for v in row), "matrix entries")
+    _check_rows(mat, n, "char_poly needs a square matrix")
     desc = [1]  # degree-descending coefficients, 0x0 block
     for r in range(1, n + 1):
         row = mat[r - 1][: r - 1]

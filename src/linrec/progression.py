@@ -22,7 +22,7 @@ import math
 
 from .bell import _bell_row_sum, bell_table
 from .kernel import DomainError, Poly, _check_index
-from .lucas import lucas_transform
+from .lucas import _trace_head
 from .oracle import UNDERDETERMINED, NoSolution, char_poly_of_power, fit_recurrence, verify_recurrence
 from .recurrence import CoeffVector, RecurrenceSpec, _stride_heads, _stride_terms, as_coeff_vector
 
@@ -58,7 +58,7 @@ def gamma_coefficients(coeffs, m: int, *, cross_check: bool = False) -> GammaVec
     cv = as_coeff_vector(coeffs)
     _check_index(m, "m", 1)
     depth = cv.d if cross_check else cv.d - 1
-    return _gamma_from_hats(cv, m, _stride_terms(cv.c, lucas_transform(cv, cv.d - 1).terms, m, m, depth))
+    return _gamma_from_hats(cv, m, _stride_terms(cv.c, _trace_head(cv.c), m, m, depth))
 
 
 def _gamma_from_hats(cv: CoeffVector, m: int, hats: list) -> GammaVector:
@@ -93,7 +93,7 @@ def subseq_recurrence(spec: RecurrenceSpec, m: int, r: int) -> RecurrenceSpec:
     _check_index(m, "m", 1)
     cv = spec.coeffs
     window = _stride_terms(cv.c, spec.initial, 1, r, cv.d)
-    hats, ahead = _stride_heads(cv.c, (lucas_transform(cv, cv.d - 1).terms, window), m, m, cv.d - 1)
+    hats, ahead = _stride_heads(cv.c, (_trace_head(cv.c), window), m, m, cv.d - 1)
     return RecurrenceSpec(_gamma_from_hats(cv, m, hats).coeffs, (window[0], *ahead))
 
 

@@ -8,14 +8,14 @@ c_1..c_d (c_d nonzero) with
 together with initial terms a_0..a_{d-1}.  Coefficients and terms may live in
 any of the exact domains from :mod:`linrec.kernel`.
 
-Jumps and short walks (:func:`_stride_heads`, behind every single-term,
-window and slice call) clear a rational spec's denominators once: with D the
-lcm of the coefficients' denominators and e that of the initial terms'
-(one e for each set of initial terms), b_n = e*D^n*a_n satisfies the
-integer recurrence c_i*D^i, which is run instead, and a_n = b_n / (e*D^n)
-is read off at the end.  Long forward walks (:func:`_extend` behind
-``seq_range``'s tail) stay in the data's own domain, where scaling would not
-pay: the per-term gcd of the output dominates them.
+Every term, of a spec, its trace sequence or its inverse sequence, comes
+from one engine, :func:`_stride_heads`, and every forward walk runs inside
+it.  It clears a rational spec's denominators once: with D the lcm of the
+coefficients' denominators and e that of the initial terms' (one e for each
+set of initial terms), b_n = e*D^n*a_n satisfies the integer recurrence
+c_i*D^i, which is jumped and walked instead, and a_n = b_n / (e*D^n) is read
+off at the end.  So no walk step and no residue product over int and
+Fraction data ever sees a Fraction.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def as_coeff_vector(coeffs) -> CoeffVector:
     """Accept a CoeffVector or any sequence of exact coefficients."""
     if isinstance(coeffs, CoeffVector):
         return coeffs
-    return CoeffVector(tuple(coeffs))
+    return CoeffVector(coeffs)
 
 
 @dataclass(frozen=True)
@@ -167,13 +167,15 @@ def _stride_heads(c: tuple, heads, m: int, r: int, count: int) -> list:
     """For each head, t_r, t_{r+m}, ..., t_{r+(count-1)m} of the sequence with recurrence c and that head.
 
     Every head takes its terms from the same residues x^n mod q, built once.
-    Small last indices walk.  A single larger index takes a half jump (see
-    below); a window (m = 1) applies x^r mod q to each head walked forward
-    over the window; a wider stride takes x^r mod q once and steps it by
-    multiplying with x^m mod q.  Int and Fraction data with some Fraction runs
-    as the integer sequences b_n = e*D^n*a_n, one D for the coefficients and
-    one e per head (see the module docstring); indices below d return the
-    head's own values, and a head of ints under int coefficients stays int.
+    A single index takes a half jump (see below); a window (m = 1) applies
+    x^r mod q to each head to give its first d terms and walks on from
+    them; a wider stride takes x^r mod q once and steps it by multiplying
+    with x^m mod q.  Where the last index a jump would reach (the last term,
+    or a window's d-th) lies below the cutoff, the head is walked instead.
+    Int and Fraction data with some Fraction runs as the integer sequences
+    b_n = e*D^n*a_n, one D for the coefficients and one e per head (see the
+    module docstring); indices below d return the head's own values, and a
+    head of ints under int coefficients stays int.
     """
     if count < 1:
         return [[] for _ in heads]
@@ -196,7 +198,7 @@ def _stride_heads(c: tuple, heads, m: int, r: int, count: int) -> list:
             out.append(terms)
         return out
     last = r + (count - 1) * m
-    if last < _JUMP_CUTOFF:
+    if (r + min(count, len(c)) - 1 if m == 1 else last) < _JUMP_CUTOFF:  # the last index a jump would reach
         return [_extend(c, list(head[: last + 1]), last)[r : last + 1 : m] for head in heads]
     if count == 1:
         # half jump: half = x^h mod q applied to the head shifted by j gives a_{h+j},
@@ -208,7 +210,7 @@ def _stride_heads(c: tuple, heads, m: int, r: int, count: int) -> list:
         return [[sum(map(mul, half, _shifted(c, half, head, r - 2 * h, len(c))))] for head in heads]
     if m == 1:
         residue = _xpow(c, r)
-        return [_shifted(c, residue, head, 0, count) for head in heads]
+        return [_extend(c, _shifted(c, residue, head, 0, min(count, len(c))), count - 1) for head in heads]
     step = _xpow(c, m)
     residue = step if r == m else _xpow(c, r)
     out = [[] for _ in heads]
@@ -232,18 +234,17 @@ def _stride_terms(c: tuple, head, m: int, r: int, count: int) -> list:
 
 
 def seq_window(spec: RecurrenceSpec, n: int, k: int) -> list:
-    """Terms a_n..a_{n+k-1}; past the cutoff x^n mod q applied to the initial terms walked k - 1 steps on."""
+    """Terms a_n..a_{n+k-1}; past the cutoff x^n mod q gives the first d of them and a walk the rest."""
     _check_index(n, "n")
     _check_index(k, "k")
     return _stride_terms(spec.coeffs.c, spec.initial, 1, n, k)
 
 
 def seq_range(spec: RecurrenceSpec, n0: int, n1: int) -> list:
-    """Terms a_{n0}..a_{n1} inclusive: a jump to the first d, then forward iteration."""
+    """Terms a_{n0}..a_{n1} inclusive: the window of n1 - n0 + 1 terms from a_{n0}."""
     _check_index(n0, "n0")
     _check_index(n1, "n1", n0)
-    head = seq_window(spec, n0, min(spec.order, n1 - n0 + 1))
-    return _extend(spec.coeffs.c, head, n1 - n0)
+    return _stride_terms(spec.coeffs.c, spec.initial, 1, n0, n1 - n0 + 1)
 
 
 def seq_eval(spec: RecurrenceSpec, n: int):

@@ -46,10 +46,7 @@ def _load_fixed() -> dict[str, CatalogEntry]:
     raw = resources.files(__package__).joinpath("catalog.json").read_text("utf-8")
     entries = {}
     for rec in json.loads(raw)["entries"]:
-        spec = RecurrenceSpec(
-            CoeffVector(tuple(scalar_from_str(s) for s in rec["coeffs"])),
-            tuple(scalar_from_str(s) for s in rec["initial"]),
-        )
+        spec = RecurrenceSpec(tuple(map(scalar_from_str, rec["coeffs"])), tuple(map(scalar_from_str, rec["initial"])))
         entries[rec["name"]] = CatalogEntry(
             name=rec["name"],
             oeis=rec["oeis"],
@@ -98,6 +95,8 @@ def _family_entry(family: str, value: int) -> CatalogEntry:
 
 def catalog_get(name: str) -> CatalogEntry:
     """Look up a fixed entry or instantiate a parameterized family."""
+    if not isinstance(name, str):
+        raise UnknownName(f"catalog names are strings, got {name!r}")
     name = name.strip()
     fixed = _load_fixed()
     if name in fixed:

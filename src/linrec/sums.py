@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .kernel import DomainError, Poly, _check_exact, _check_index, exact_div, ring_const
 from .progression import subseq_recurrence
-from .recurrence import _JUMP_CUTOFF, RecurrenceSpec, _extend, as_coeff_vector, seq_eval, seq_range, seq_window
+from .recurrence import _JUMP_CUTOFF, RecurrenceSpec, _stride_terms, as_coeff_vector, seq_eval, seq_range, seq_window
 
 
 class DegenerateDivisor(ArithmeticError):
@@ -120,9 +120,7 @@ def invert_sequence(coeffs, upto: int) -> list:
     """
     cv = as_coeff_vector(coeffs)
     _check_index(upto, "upto")
-    d = cv.d
-    y = _extend(cv.c, [0] * (d - 1) + [ring_const(1, cv.c)], upto + d - 1)
-    return y[d - 1 :]
+    return _stride_terms(cv.c, (0,) * (cv.d - 1) + (ring_const(1, cv.c),), 1, cv.d - 1, upto + 1)
 
 
 def invert_partial_sum(coeffs, n: int) -> InvertSumCheck:

@@ -4,10 +4,24 @@ from fractions import Fraction
 
 import pytest
 
-from linrec import DomainError, RecurrenceSpec
+from linrec import (
+    CoeffVector,
+    DomainError,
+    InvalidCoeffs,
+    Poly,
+    RecurrenceSpec,
+    UnknownName,
+    catalog_get,
+    exact_div,
+    lucas_transform,
+    scalar_from_str,
+    scalar_to_str,
+    value_from_json,
+    value_to_json,
+)
 from linrec.bell import bell_partial, bell_table, bell_truncated3, set_partition_oracle
 from linrec.lucas import k_lucas_number
-from linrec.oracle import char_poly, fit_recurrence, mat_mul, mat_pow, verify_recurrence
+from linrec.oracle import char_poly, fit_recurrence, mat_mul, mat_pow, mat_trace, verify_recurrence
 from linrec.sums import partial_sum_form
 
 FIB = RecurrenceSpec((1, 1), (0, 1))  # q(1) = -1, so every look-ahead sum divides exactly
@@ -23,6 +37,9 @@ ENTRIES = {
     "bell_truncated3.x3": lambda v: bell_truncated3(2, 1, 1, 1, v),
     "mat_mul.entry": lambda v: mat_mul([[v]], [[2]]),
     "mat_pow.entry": lambda v: mat_pow([[v]], 2),
+    "mat_trace.entry": lambda v: mat_trace([[v]]),
+    "exact_div.divisor": lambda v: exact_div(4, v),
+    "exact_div.divisor-poly": lambda v: exact_div(Poly.variables(1)[0], v),
     "char_poly.entry": lambda v: char_poly([[v]]),
     "verify_recurrence.terms": lambda v: verify_recurrence([1, 1, v], (1, 1)),
     "fit_recurrence.terms": lambda v: fit_recurrence([v, v, v, v], 1),
@@ -50,3 +67,27 @@ def test_k_lucas_number_stays_in_k_domain():
     # the trace of (1/2, 1) is 2, 1/2, 9/4, 13/8, ...
     assert k_lucas_number(Fraction(1, 2), 3) == Fraction(13, 8)
     assert k_lucas_number(2, 3) == 14
+
+
+# a public call given a value of the wrong kind, and the library exception it raises
+WRONG_KIND = {
+    "scalar_to_str.bool": (lambda: scalar_to_str(True), DomainError),
+    "scalar_to_str.float": (lambda: scalar_to_str(1.5), DomainError),
+    "value_to_json.bool": (lambda: value_to_json(True), DomainError),
+    "scalar_from_str.zero-denominator": (lambda: scalar_from_str("1/0"), DomainError),
+    "scalar_from_str.not-text": (lambda: scalar_from_str(5), DomainError),
+    "value_from_json.list": (lambda: value_from_json([]), DomainError),
+    "value_from_json.no-terms": (lambda: value_from_json({"nvars": 1}), DomainError),
+    "CoeffVector.int": (lambda: CoeffVector(5), InvalidCoeffs),
+    "RecurrenceSpec.initial-int": (lambda: RecurrenceSpec((1, 1), 5), InvalidCoeffs),
+    "lucas_transform.coeffs-int": (lambda: lucas_transform(5, 3), InvalidCoeffs),
+    "bell_table.x-int": (lambda: bell_table(3, 5), DomainError),
+    "catalog_get.none": (lambda: catalog_get(None), UnknownName),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_KIND))
+def test_wrong_kind_is_a_library_error(case):
+    call, error = WRONG_KIND[case]
+    with pytest.raises(error):
+        call()

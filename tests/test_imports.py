@@ -37,6 +37,33 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def names_read(source: str) -> set[str]:
+    """Every name source reads, binds, imports or takes as an attribute."""
+    tree = ast.parse(source)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.asname or a.name for a in node.names} | {a.name for a in node.names}
+    return names
+
+
+def test_names_read_sees_imports_and_attributes():
+    source = "from .recurrence import _extend as walk\nimport linrec\nlinrec.recurrence._stride_terms\n"
+    assert {"_extend", "walk", "_stride_terms"} <= names_read(source)
+
+
+def test_one_walker():
+    # the forward walk runs only inside the term engine: no other module names it
+    naming = [p.name for p in sorted(SRC.glob("*.py")) if "_extend" in names_read(p.read_text())]
+    assert naming == ["recurrence.py"]
+
+
 def test_exports_are_exactly_the_imports():
     # a name deleted from a module cannot linger in __all__, and no re-export goes unlisted
     import linrec

@@ -95,6 +95,29 @@ class TestMatPow:
             assert len(calls) == e.bit_length() - 1 + bin(e).count("1")
 
 
+BAD_SHAPES = {
+    "mat_mul.ragged-right": lambda: mat_mul([[1, 2]], [[1], [2, 3]]),
+    "mat_mul.ragged-left": lambda: mat_mul([[1, 2], [3]], [[1], [2]]),
+    "mat_mul.not-composing": lambda: mat_mul([[1, 2]], [[1]]),
+    "mat_trace.wide": lambda: mat_trace([[1, 2]]),
+    "mat_trace.ragged": lambda: mat_trace([[1, 2], [3]]),
+    "mat_pow.ragged": lambda: mat_pow([[1, 2], [3]], 2),
+    "char_poly.ragged": lambda: char_poly([[1], [2, 3]]),
+}
+
+
+class TestShapes:
+    @pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+    def test_ragged_or_not_square_rejected(self, case):
+        with pytest.raises(DomainError):
+            BAD_SHAPES[case]()
+
+    def test_well_shaped(self):
+        assert mat_mul([[1, 2]], [[1], [2]]) == [[5]]
+        assert mat_mul([[1], [2]], [[3, 4]]) == [[3, 4], [6, 8]]
+        assert mat_trace([[1, 2], [3, 4]]) == 5
+
+
 class TestCharPoly:
     def test_fibonacci_companion(self):
         # t^2 - t - 1, ascending

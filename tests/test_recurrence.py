@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from linrec import CoeffVector, DomainError, Poly, RecurrenceSpec, cli, lucas, progression, recurrence, sums
+from linrec import CoeffVector, DomainError, Poly, RecurrenceSpec, cli, progression, recurrence
 from linrec.bell import bell_table
 from linrec.lucas import lucas_transform
-from linrec.oracle import char_poly_of_power, companion, mat_pow
+from linrec.oracle import char_poly_of_power, companion, mat_pow, mat_trace
 from linrec.progression import gamma_coefficients, subseq_recurrence
 from linrec.recurrence import _JUMP_CUTOFF, _stride_terms, seq_eval, seq_range, seq_window
-from linrec.sums import partial_sum_closed, progression_sum
+from linrec.sums import invert_sequence, partial_sum_closed, progression_sum
 from support import random_spec
 
 C1, C2 = Poly.variables(2)
@@ -268,6 +268,69 @@ class TestSharedChain:
             assert sub == want and value_types(sub) == value_types(want)
 
 
+class TestOneWindowRoute:
+    """seq_range and seq_window are one route: x^n mod q gives a window's first d terms, a walk the rest."""
+
+    def test_against_walk_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        (x,) = Poly.variables(1)
+        ints = st.integers(-3, 3)
+        scalars = {
+            "int": ints,
+            "fraction": st.one_of(ints, st.builds(Fraction, ints, st.sampled_from([2, 3, 6]))),
+            # never the zero Poly, whose products the residue arithmetic skips as taps
+            "poly": st.one_of(ints, st.builds(lambda a, b: a + b * x, ints, ints.filter(bool))),
+        }
+
+        @st.composite
+        def cases(draw):
+            d = draw(st.integers(1, 5))
+            scalar = scalars[draw(st.sampled_from(sorted(scalars)))]
+            c = [draw(scalar) for _ in range(d - 1)] + [draw(scalar.filter(bool))]
+            head = [draw(scalar) for _ in range(d)]
+            n0 = draw(st.one_of(st.integers(0, 6), st.integers(_JUMP_CUTOFF - 8, _JUMP_CUTOFF + 8)))
+            return RecurrenceSpec(CoeffVector(tuple(c)), tuple(head)), n0, draw(st.sampled_from([1, d, d + 1, 40]))
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(cases())
+        def check(case):
+            spec, n0, k = case
+            want = recurrence._extend(spec.coeffs.c, list(spec.initial), n0 + k - 1)[n0 : n0 + k]
+            for got in (seq_range(spec, n0, n0 + k - 1), seq_window(spec, n0, k)):
+                assert got == want and list(map(type, got)) == list(map(type, want))
+
+        check()
+
+    def test_long_windows_from_the_head(self):
+        # a window whose first d terms lie below the cutoff walks, so the head's own values come back
+        (x,) = Poly.variables(1)
+        c = (0, x - 1)
+        cases = [
+            (seq_range(RecurrenceSpec(CoeffVector(c), (2, 0)), 0, 300), (2, 0)),
+            (lucas_transform(c, 300).terms, (Poly.const(2, 1), 0)),  # hat_1 = 1*c_1, an int
+        ]
+        for got, head in cases:
+            want = recurrence._extend(c, list(head), 300)
+            assert list(got) == want and list(map(type, got)) == list(map(type, want))
+
+    def test_shifted_takes_at_most_d_terms(self, monkeypatch):
+        real = recurrence._shifted
+
+        def guarded(c, residue, head, s, count):
+            assert count <= len(c), f"asked for {count} terms at order {len(c)}"
+            return real(c, residue, head, s, count)
+
+        monkeypatch.setattr(recurrence, "_shifted", guarded)
+        n, k = 10**5, 5000
+        terms = seq_window(TRIB, n, k)
+        assert terms == seq_range(TRIB, n, n + k - 1)
+        assert [terms[0], terms[k // 2], terms[-1]] == [seq_eval(TRIB, i) for i in (n, n + k // 2, n + k - 1)]
+        for name in ("int-d5", "fraction-d3", "poly-d2"):
+            assert seq_window(SPECS[name], _JUMP_CUTOFF, 8) == walk(name)[_JUMP_CUTOFF : _JUMP_CUTOFF + 8]
+        assert lucas_transform((1, 1), 600).terms[-1] == mat_trace(mat_pow(companion((1, 1)), 600))
+
+
 class TestClosedFormsDoNotWalk:
     """A closed form must not walk to a far index: counted by refusing long walks."""
 
@@ -280,8 +343,8 @@ class TestClosedFormsDoNotWalk:
                 raise AssertionError(f"walked to index {upto}")
             return real(c, terms, upto)
 
-        for module in (recurrence, lucas, sums):
-            monkeypatch.setattr(module, "_extend", guarded)
+        # every walk, lucas_transform's and invert_sequence's too, runs through this one name
+        monkeypatch.setattr(recurrence, "_extend", guarded)
 
     def test_far_calls(self, no_long_walks):
         n = 10**5
@@ -393,15 +456,14 @@ class TestRationalSpecsStayIntegral:
         real_extend = recurrence._extend
 
         def guarded_extend(c, terms, upto):
-            # seq_range and lucas_transform call it with nothing left to walk
-            if len(terms) <= upto and has_fraction(c, terms):
+            if has_fraction(c, terms):
                 raise AssertionError("a Fraction reached the forward walk")
             return real_extend(c, terms, upto)
 
         monkeypatch.setattr(recurrence, "_mulmod", guard("_mulmod", recurrence._mulmod))
         monkeypatch.setattr(recurrence, "_reduce", guard("_reduce", recurrence._reduce))
-        for module in (recurrence, lucas, sums):
-            monkeypatch.setattr(module, "_extend", guarded_extend)
+        # every walk, lucas_transform's and invert_sequence's too, runs through this one name
+        monkeypatch.setattr(recurrence, "_extend", guarded_extend)
 
     SPEC = RecurrenceSpec(CoeffVector((Fraction(5, 2), -1, 1)), (1, Fraction(1, 2), 3))
 
@@ -417,9 +479,17 @@ class TestRationalSpecsStayIntegral:
             sub = subseq_recurrence(spec, m, r)
             assert sub.initial == tuple(seq_eval(spec, m * i + r) for i in range(3))
         assert progression.verify_slice(spec, m, 3, depth=8).passed
+        # windows, trace terms and the inverse sequence walk lifted too
+        terms = seq_range(spec, 0, n)
+        assert terms == seq_window(spec, 0, n + 1) and terms[-1] == by_matrix(spec, n)
+        hats = lucas_transform(spec.coeffs, n).terms
+        assert len(hats) == n + 1 and hats[-1] == mat_trace(mat_pow(companion(spec.coeffs), n))
+        y = invert_sequence(spec.coeffs, n)
+        inverse = RecurrenceSpec(spec.coeffs, (0, 0, 1))  # y_k = z_{k+2}
+        assert len(y) == n + 1 and y[-1] == by_matrix(inverse, n + 2)
 
     def test_guard_bites(self, no_fractions):
         with pytest.raises(AssertionError):
             recurrence._xpow(self.SPEC.coeffs.c, 5)
         with pytest.raises(AssertionError):
-            seq_range(self.SPEC, 0, 10)
+            recurrence._extend(self.SPEC.coeffs.c, list(self.SPEC.initial), 10)
