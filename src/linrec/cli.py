@@ -178,13 +178,13 @@ def _cmd_subsum(args) -> int:
     return 0
 
 
-def _verify_record(name: str, report: SliceReport) -> dict:
+def _verify_record(name: str, report: SliceReport, render) -> dict:
     return {
         "name": name,
         "m": report.m,
         "r": report.r,
         "depth": report.depth,
-        "gamma": [value_to_json(g) for g in report.gamma.gamma],
+        "gamma": [render(g) for g in report.gamma.gamma],
         "charpoly": "agree" if report.charpoly_agree else "mismatch",
         "violations": list(report.violations),
         "fit": report.fit,
@@ -200,9 +200,7 @@ def _verify_lines(record: dict) -> list[str]:
         )
         lines += [
             f"name\t{report['name']}",
-            f"gamma\t" + " ".join(
-                v if isinstance(v, str) else json.dumps(v) for v in report["gamma"]
-            ),
+            f"gamma\t{' '.join(report['gamma'])}",
             f"charpoly\t{report['charpoly']}",
             f"recurrence\t{check} ({report['depth']} terms)",
             f"fit\t{report['fit']}",
@@ -217,8 +215,9 @@ def _cmd_verify(args) -> int:
         specs = [(name, catalog_get(name).spec) for name in catalog_names() if "(" not in name]
     else:
         specs = [(args.catalog if args.catalog is not None else "inline", _spec(args))]
+    render = _render(args)
     reports = [
-        _verify_record(name, verify_slice(spec, args.m, args.r, args.depth)) for name, spec in specs
+        _verify_record(name, verify_slice(spec, args.m, args.r, args.depth), render) for name, spec in specs
     ]
     _print_record(args, {"command": "verify", "reports": reports}, _verify_lines)
     return 0 if all(report["result"] == "PASS" for report in reports) else 1

@@ -149,8 +149,11 @@ class Poly:
         _check_nvars(nvars)
         clean: dict[tuple[int, ...], int | Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else terms
+        try:
+            items = [(tuple(exps), coeff) for exps, coeff in items]
+        except (TypeError, ValueError):
+            raise DomainError(f"Poly terms must be (exponents, coefficient) pairs, got {terms!r:.80}") from None
         for exps, coeff in items:
-            exps = tuple(exps)
             if len(exps) != nvars or not all(
                 isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exps
             ):
@@ -215,7 +218,7 @@ class Poly:
     def _coerce(self, other):
         if isinstance(other, Poly):
             if other.nvars != self.nvars:
-                raise ValueError("mixing polynomials over different variable sets")
+                raise DomainError("mixing polynomials over different variable sets")
             return other
         if isinstance(other, (int, Fraction)):
             return Poly.const(other, self.nvars)
@@ -308,9 +311,9 @@ class Poly:
         integral, a Fraction otherwise.  The substitution is a ring
         homomorphism.
         """
-        values = tuple(map(_coefficient, values))
+        values = tuple(map(_coefficient, _check_exact(values, "Poly evaluation values")))
         if len(values) != self.nvars:
-            raise ValueError(f"expected {self.nvars} values, got {len(values)}")
+            raise DomainError(f"expected {self.nvars} values, got {len(values)}")
         total = 0
         for exps, coeff in self.terms.items():
             term = coeff

@@ -107,9 +107,10 @@ class CharPoly:
     coeffs: tuple
 
     def __post_init__(self):
-        if not self.coeffs or self.coeffs[-1] != 1:
+        coeffs = _check_exact(self.coeffs, "characteristic polynomial coefficients")
+        if not coeffs or coeffs[-1] != 1:
             raise DomainError("characteristic polynomial must be monic")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:

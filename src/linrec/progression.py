@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import math
 
 from .bell import _bell_row_sum, bell_table
-from .kernel import DomainError, Poly, _check_index
+from .kernel import DomainError, _check_index
 from .lucas import _trace_head
 from .oracle import UNDERDETERMINED, NoSolution, char_poly_of_power, fit_recurrence, verify_recurrence
 from .recurrence import CoeffVector, RecurrenceSpec, _stride_heads, _stride_terms, as_coeff_vector
@@ -123,10 +123,10 @@ class SliceReport:
 
 
 def _fit_state(terms: list, d: int, coeffs: CoeffVector) -> str:
-    if len(terms) < 2 * d or any(isinstance(t, Poly) for t in terms):
-        return "skipped"
     try:
         fitted = fit_recurrence(terms, d)
+    except DomainError:  # fewer than 2d terms, or Poly terms
+        return "skipped"
     except NoSolution:
         return "mismatch"
     if fitted is UNDERDETERMINED:

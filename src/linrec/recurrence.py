@@ -99,19 +99,19 @@ def _extend(c: tuple, terms: list, upto: int) -> list:
 
 # Residues mod q(x) = x^d - c_1 x^(d-1) - ... - c_d are lists of d ring
 # elements, lowest degree first; x^n mod q applied to the initial terms is
-# a_n (Fiduccia, SIAM J. Comput. 1985).  Only ring operations are used, so
-# the same code runs over int, Fraction and Poly.
+# a_n (Fiduccia, SIAM J. Comput. 1985).  Only ring operations are used, and
+# no entry or tap is tested for zero, so the same code runs over int,
+# Fraction and Poly and keeps one type rule on every route: the initial terms
+# come back as given, and every later term has the type the walk gives it.
 
 
 def _reduce(prod: list, c: tuple) -> list:
     """Fold a product of degree < 2d back below degree d using x^d = c_1 x^(d-1) + ... + c_d."""
     d = len(c)
-    taps = [(i, ci) for i, ci in enumerate(c, start=1) if ci]
     for k in range(len(prod) - 1, d - 1, -1):
         top = prod[k]
-        if top:
-            for i, ci in taps:
-                prod[k - i] += ci * top
+        for i, ci in enumerate(c, start=1):
+            prod[k - i] += ci * top
     return prod[:d]
 
 
@@ -121,18 +121,14 @@ def _mulmod(a: list, b: list, c: tuple) -> list:
     prod = [0] * (2 * d - 1)
     if a is b:
         for i, ai in enumerate(a):
-            if ai:
-                prod[2 * i] += ai * ai
-                twice = 2 * ai
-                for j in range(i + 1, d):
-                    if a[j]:
-                        prod[i + j] += twice * a[j]
+            prod[2 * i] += ai * ai
+            twice = 2 * ai
+            for j in range(i + 1, d):
+                prod[i + j] += twice * a[j]
     else:
         for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
     return _reduce(prod, c)
 
 
@@ -171,11 +167,12 @@ def _stride_heads(c: tuple, heads, m: int, r: int, count: int) -> list:
     x^r mod q to each head to give its first d terms and walks on from
     them; a wider stride takes x^r mod q once and steps it by multiplying
     with x^m mod q.  Where the last index a jump would reach (the last term,
-    or a window's d-th) lies below the cutoff, the head is walked instead.
-    Int and Fraction data with some Fraction runs as the integer sequences
-    b_n = e*D^n*a_n, one D for the coefficients and one e per head (see the
-    module docstring); indices below d return the head's own values, and a
-    head of ints under int coefficients stays int.
+    or a window's d-th) lies below the cutoff, or a window or single term
+    starts inside the head, the head is walked instead.  Int and Fraction
+    data with some Fraction runs as the integer sequences b_n = e*D^n*a_n,
+    one D for the coefficients and one e per head (see the module
+    docstring).  On every route the initial terms come back as given, and
+    every later term has the type the forward walk gives it.
     """
     if count < 1:
         return [[] for _ in heads]
@@ -198,7 +195,8 @@ def _stride_heads(c: tuple, heads, m: int, r: int, count: int) -> list:
             out.append(terms)
         return out
     last = r + (count - 1) * m
-    if (r + min(count, len(c)) - 1 if m == 1 else last) < _JUMP_CUTOFF:  # the last index a jump would reach
+    reach = r + min(count, len(c)) - 1 if m == 1 else last  # the last index a jump would reach
+    if reach < _JUMP_CUTOFF or r < len(c) and (m == 1 or count == 1):
         return [_extend(c, list(head[: last + 1]), last)[r : last + 1 : m] for head in heads]
     if count == 1:
         # half jump: half = x^h mod q applied to the head shifted by j gives a_{h+j},
@@ -217,8 +215,9 @@ def _stride_heads(c: tuple, heads, m: int, r: int, count: int) -> list:
     for k in range(count):
         if k:
             residue = _mulmod(residue, step, c)
+        i = r + k * m
         for terms, head in zip(out, heads):
-            terms.append(sum(map(mul, residue, head)))
+            terms.append(head[i] if i < len(head) else sum(map(mul, residue, head)))
     return out
 
 

@@ -64,6 +64,47 @@ def test_one_walker():
     assert naming == ["recurrence.py"]
 
 
+def truth_tests(source: str, functions) -> list[str]:
+    """Each if, while, conditional expression or comprehension filter in the named functions
+    whose test reads a value's truth rather than a comparison such as ``a is b``."""
+
+    def reads_truth(test) -> bool:
+        if isinstance(test, ast.BoolOp):
+            return any(map(reads_truth, test.values))
+        if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+            return reads_truth(test.operand)
+        return not isinstance(test, ast.Compare)
+
+    hits = []
+    for fn in ast.parse(source).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in functions:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.comprehension):
+                    tests = node.ifs
+                elif isinstance(node, (ast.If, ast.While, ast.IfExp)):
+                    tests = [node.test]
+                else:
+                    continue
+                hits += [f"{fn.name}: {ast.unparse(t)}" for t in tests if reads_truth(t)]
+    return sorted(hits)
+
+
+def test_truth_tests_found():
+    source = (
+        "def f(a, b):\n    if a is b or not a == 1:\n        pass\n    if a:\n        pass\n"
+        "    return [x for x in a if x and x > 0], (1 if b else 2)\n"
+        "def g(a):\n    if a:\n        pass\n"
+    )
+    assert truth_tests(source, {"f"}) == ["f: a", "f: b", "f: x and x > 0"]
+
+
+def test_residue_arithmetic_tests_no_value():
+    # x^n mod q is built from ring operations only, so every route carries the data's ring:
+    # a zero test would skip a product by the zero Poly and leave an int where the walk has a Poly
+    source = (SRC / "recurrence.py").read_text()
+    assert truth_tests(source, {"_reduce", "_mulmod", "_xpow"}) == []
+
+
 def test_exports_are_exactly_the_imports():
     # a name deleted from a module cannot linger in __all__, and no re-export goes unlisted
     import linrec

@@ -258,11 +258,24 @@ class TestPolyInput:
         with pytest.raises(DomainError):
             Poly(2, [((0, False), 1)])
 
+    def test_malformed_terms_rejected(self):
+        for bad in (5, [(5, 1)], [5], [((1,), 2, 3)], {5: 1}):
+            with pytest.raises(DomainError):
+                Poly(1, bad)
+
+    def test_mixed_variable_sets_rejected(self):
+        x, (y, _, _) = Poly.variable(0, 2), Poly.variables(3)
+        for mix in (lambda: x * y, lambda: x + y, lambda: x - y, lambda: x((1,))):
+            with pytest.raises(DomainError):
+                mix()
+
     def test_inexact_evaluation_point_rejected(self):
         x = Poly.variable(0, 1)
         for bad in (0.5, "2", True):
             with pytest.raises(DomainError):
                 x((bad,))
+        with pytest.raises(DomainError):
+            x(5)
 
     def test_input_is_canonicalised(self):
         p = Poly(2, [((1, 0), Fraction(4, 2)), ((0, 1), Fraction(1, 2)), ((0, 1), Fraction(1, 2)), ((0, 0), 0)])

@@ -132,6 +132,11 @@ class TestCharPoly:
         with pytest.raises(DomainError):
             CharPoly((1, 2, 2))
 
+    def test_inexact_or_non_sequence_rejected(self):
+        for bad in (5, None, (0.5, 1), (True, 1)):
+            with pytest.raises(DomainError):
+                CharPoly(bad)
+
     def test_matches_cofactor_oracle(self):
         rng = random.Random(32)
         for _ in range(25):

@@ -25,6 +25,7 @@ SPECS = {
     "fraction-d3": RecurrenceSpec(CoeffVector((Fraction(1, 2), -1, Fraction(2, 3))), (1, Fraction(-1, 2), 3)),
     "poly-d1": RecurrenceSpec(CoeffVector(Poly.variables(1)), (1,)),
     "poly-d2": RecurrenceSpec(CoeffVector((C1, C2)), (0, 1)),
+    "poly-d2-mixed": RecurrenceSpec(CoeffVector((C1, C2)), (C1, 1)),
 }
 TRIB = RecurrenceSpec(CoeffVector((1, 1, 1)), (0, 0, 1))
 
@@ -48,10 +49,11 @@ def walk(name):
 
 
 # (m, r, count): unit and wide strides, walked (last index < cutoff) and jumped,
-# and single far terms (the half jump) at strides past 1
+# single far terms (the half jump) at strides past 1, and a jumped chain whose
+# first offset lies inside the head
 STRIDES = [
     (1, 250, 9), (3, 250, 3), (7, 200, 9), (1, 260, 1), (250, 6, 2), (40, 3, 5),
-    (2, 256, 1), (7, 257, 1), (300, 261, 1),
+    (2, 256, 1), (7, 257, 1), (300, 261, 1), (130, 1, 3),
 ]
 FAR_STRIDES = [(3, 0, 90), (300, 5, 2), (1, 500, 3), (111, 400, 3)]
 
@@ -71,7 +73,8 @@ class TestJumpWalkMatrix:
         c, head = spec.coeffs.c, spec.initial
         terms = walk(name)
         for m, r, count in STRIDES if name.startswith("poly") else STRIDES + FAR_STRIDES:
-            assert _stride_terms(c, head, m, r, count) == terms[r : r + count * m : m]
+            got, want = _stride_terms(c, head, m, r, count), terms[r : r + count * m : m]
+            assert got == want and list(map(type, got)) == list(map(type, want)), (m, r, count)
 
     def test_random_specs_far_out(self):
         rng = random.Random(71)
@@ -279,8 +282,7 @@ class TestOneWindowRoute:
         scalars = {
             "int": ints,
             "fraction": st.one_of(ints, st.builds(Fraction, ints, st.sampled_from([2, 3, 6]))),
-            # never the zero Poly, whose products the residue arithmetic skips as taps
-            "poly": st.one_of(ints, st.builds(lambda a, b: a + b * x, ints, ints.filter(bool))),
+            "poly": st.one_of(ints, st.builds(lambda a, b: a + b * x, ints, ints)),
         }
 
         @st.composite
@@ -294,6 +296,8 @@ class TestOneWindowRoute:
 
         @hypothesis.settings(max_examples=100, deadline=None)
         @hypothesis.given(cases())
+        # zero Poly taps under an int head, which few draws reach
+        @hypothesis.example((RecurrenceSpec(CoeffVector((0 * x, 1)), (0, 1)), _JUMP_CUTOFF, 3))
         def check(case):
             spec, n0, k = case
             want = recurrence._extend(spec.coeffs.c, list(spec.initial), n0 + k - 1)[n0 : n0 + k]
@@ -301,6 +305,27 @@ class TestOneWindowRoute:
                 assert got == want and list(map(type, got)) == list(map(type, want))
 
         check()
+
+    def test_zero_poly_coefficients_give_polys(self):
+        # a product by the zero Poly is a Poly on every route, as it is in the walk
+        spec = RecurrenceSpec(CoeffVector((Poly(1), 1)), (0, 1))
+        want = recurrence._extend(spec.coeffs.c, list(spec.initial), 302)[300:]
+        got = [seq_window(spec, 300, 3), seq_range(spec, 300, 302), [seq_eval(spec, n) for n in (300, 301, 302)]]
+        for terms in got:
+            assert terms == want and all(type(t) is Poly for t in terms)
+        # a chain from an offset inside the head returns the head's own value there
+        (x,) = Poly.variables(1)
+        assert list(map(type, _stride_terms((x, 1), (x, 1), 300, 1, 2))) == [int, Poly]
+
+    def test_runs_inside_a_long_head_walk(self):
+        # past the cutoff but inside the head, a window or single term is the head's own
+        d = _JUMP_CUTOFF + 4
+        c, head = (Poly(1),) * (d - 1) + (1,), tuple(range(d))
+        spec = RecurrenceSpec(CoeffVector(c), head)
+        want = recurrence._extend(c, list(head), d + 1)[_JUMP_CUTOFF:]
+        got = seq_window(spec, _JUMP_CUTOFF, 6)
+        assert got == want and list(map(type, got)) == [int] * 4 + [Poly] * 2
+        assert type(seq_eval(spec, _JUMP_CUTOFF + 1)) is int
 
     def test_long_windows_from_the_head(self):
         # a window whose first d terms lie below the cutoff walks, so the head's own values come back
