@@ -9,8 +9,10 @@ Three coefficient domains are supported, all exact:
 
 All three support ``+``, ``-``, ``*``, unary ``-`` and ``**`` with nonnegative
 integer exponents, so the higher-level algorithms are written once against
-that operator surface and run unchanged in numeric or symbolic mode.  No
-floating point is used anywhere.
+that operator surface and run unchanged in numeric or symbolic mode.  The
+other operand of a Poly must be an int, a Fraction or a Poly over the same
+variables: a float, str, bool or None raises DomainError.  No floating point
+is used anywhere.
 """
 
 from __future__ import annotations
@@ -215,19 +217,16 @@ class Poly:
 
     # -- ring operations ---------------------------------------------------
 
-    def _coerce(self, other):
+    def _coerce(self, other) -> "Poly":
+        """other as a Poly over self's variables; DomainError for anything outside the ring."""
         if isinstance(other, Poly):
             if other.nvars != self.nvars:
                 raise DomainError("mixing polynomials over different variable sets")
             return other
-        if isinstance(other, (int, Fraction)):
-            return Poly.const(other, self.nvars)
-        return None
+        return Poly.const(other, self.nvars)
 
     def __add__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if not other.terms:
             return self
         terms = dict(self.terms)
@@ -242,16 +241,10 @@ class Poly:
         return Poly._make(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self + -self._coerce(other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -260,8 +253,6 @@ class Poly:
                 return Poly._make(self.nvars, {})
             return Poly._make(self.nvars, _settle({e: k * c for e, k in self.terms.items()}))
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         terms: dict[tuple[int, ...], int | Fraction] = {}
         get = terms.get
         right = list(other.terms.items())

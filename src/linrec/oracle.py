@@ -13,6 +13,7 @@ division-free and therefore runs unchanged over the polynomial domain.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 import math
@@ -61,28 +62,30 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _check_rows(mat: list[list], width: int, what: str) -> None:
-    """Reject a matrix with a row that is not width entries long, or an entry that is not exact."""
+def _check_rows(mat, what: str, square: bool = False) -> int:
+    """len(mat), after rejecting anything but a sequence of row sequences of exact entries, every row as
+    long as the first (as long as the matrix is tall, if square)."""
+    if not isinstance(mat, Sequence):
+        raise DomainError(f"{what}: expected a sequence of rows, got {mat!r:.80}")
+    width = len(mat) if square else len(mat[0]) if mat and isinstance(mat[0], Sequence) else 0
     for row in mat:  # row by row, so no check builds a tuple of all the entries
-        if len(row) != width:
-            raise DomainError(f"{what}: a row of {len(row)} entries where {width} are needed")
+        if not isinstance(row, Sequence) or len(row) != width:
+            raise DomainError(f"{what}: a row {row!r:.80} where a sequence of {width} entries is needed")
         _check_exact(row, "matrix entries")
+    return len(mat)
 
 
 def mat_mul(a: list[list], b: list[list]) -> list[list]:
-    """Matrix product a*b of exact entries (a float or bool entry, or a ragged row, is a DomainError)."""
-    if not a or len(a[0]) != len(b):
+    """Matrix product a*b of exact entries (a float or bool entry, a ragged row or a non-matrix is a DomainError)."""
+    if not _check_rows(a, "mat_mul") or len(a[0]) != _check_rows(b, "mat_mul"):
         raise DomainError("matrix shapes do not compose")
-    _check_rows(a, len(b), "mat_mul")
-    _check_rows(b, len(b[0]) if b else 0, "mat_mul")
     cols = list(zip(*b))
     return [[_dot(row, col) for col in cols] for row in a]
 
 
 def mat_pow(mat: list[list], exponent: int) -> list[list]:
     """Matrix power by binary exponentiation; exponent 0 gives the identity."""
-    n = len(mat)
-    _check_rows(mat, n, "mat_pow needs a square matrix")
+    n = _check_rows(mat, "mat_pow needs a square matrix", square=True)
     _check_index(exponent, "exponent")
     result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     base = mat
@@ -96,8 +99,8 @@ def mat_pow(mat: list[list], exponent: int) -> list[list]:
 
 
 def mat_trace(mat: list[list]):
-    _check_rows(mat, len(mat), "mat_trace needs a square matrix")
-    return sum(mat[i][i] for i in range(len(mat)))
+    n = _check_rows(mat, "mat_trace needs a square matrix", square=True)
+    return sum(mat[i][i] for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -133,8 +136,7 @@ def char_poly(mat: list[list]) -> CharPoly:
     1, -a_rr, -(R C), -(R S C), -(R S^2 C), ... built from the new border
     row R, border column C and previous block S.
     """
-    n = len(mat)
-    _check_rows(mat, n, "char_poly needs a square matrix")
+    n = _check_rows(mat, "char_poly needs a square matrix", square=True)
     desc = [1]  # degree-descending coefficients, 0x0 block
     for r in range(1, n + 1):
         row = mat[r - 1][: r - 1]

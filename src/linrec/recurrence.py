@@ -133,11 +133,16 @@ def _mulmod(a: list, b: list, c: tuple) -> list:
 
 
 def _xpow(c: tuple, n: int) -> list:
-    """x^n mod q by left-to-right binary powering: square, then times x on a set bit."""
-    result = [1] + [0] * (len(c) - 1)
-    for bit in bin(n)[2:]:
+    """x^n mod q by left-to-right binary powering: square, then times x on a set bit.
+
+    It starts at x^(n >> s), with s the least shift that puts n >> s below d: a unit vector, no product.
+    """
+    s = max(n.bit_length() - len(c).bit_length() + 1, 0)
+    result = [0] * len(c)
+    result[n >> s] = 1
+    for k in reversed(range(s)):
         result = _mulmod(result, result, c)
-        if bit == "1":
+        if n >> k & 1 == 1:
             result = _reduce([0] + result, c)
     return result
 

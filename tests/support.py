@@ -19,3 +19,8 @@ def random_spec(rng: random.Random, max_d: int = 5, bound: int = 3, init_bound: 
     coeffs = CoeffVector(random_coeffs(rng, max_d, bound))
     initial = tuple(rng.randint(-init_bound, init_bound) for _ in range(coeffs.d))
     return RecurrenceSpec(coeffs, initial)
+
+
+def squarings(n: int, d: int) -> int:
+    """The _mulmod calls x^n mod q takes at order d: one per bit of n after the leading bits that stay below x^d."""
+    return max(n.bit_length() - d.bit_length() + 1, 0)

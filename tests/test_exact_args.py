@@ -83,6 +83,11 @@ WRONG_KIND = {
     "lucas_transform.coeffs-int": (lambda: lucas_transform(5, 3), InvalidCoeffs),
     "bell_table.x-int": (lambda: bell_table(3, 5), DomainError),
     "catalog_get.none": (lambda: catalog_get(None), UnknownName),
+    "mat_pow.none": (lambda: mat_pow(None, 2), DomainError),
+    "mat_trace.none": (lambda: mat_trace(None), DomainError),
+    "char_poly.int": (lambda: char_poly(5), DomainError),
+    "char_poly.int-row": (lambda: char_poly([5]), DomainError),
+    "mat_mul.int-right": (lambda: mat_mul([[1]], 5), DomainError),
 }
 
 

@@ -269,6 +269,32 @@ class TestPolyInput:
             with pytest.raises(DomainError):
                 mix()
 
+    def test_foreign_operands_rejected(self):
+        # one rule on both sides of +, - and *: a value outside the ring raises DomainError,
+        # never a bare TypeError, and ints and Fractions act as constants
+        x, y = Poly.variables(2)
+        p = 2 * x * y - Fraction(1, 3) * x + 5
+        for bad in (0.5, "2", None, [1], True):
+            for op in (
+                lambda: p + bad, lambda: bad + p, lambda: p - bad,
+                lambda: bad - p, lambda: p * bad, lambda: bad * p,
+            ):
+                with pytest.raises(DomainError):
+                    op()
+        model = _reference(p.terms.items())
+        negated = [(e, -c) for e, c in model.items()]
+        for k in (0, 1, -7, Fraction(1, 3), Fraction(-5, 2), Fraction(6, 3)):
+            const = [((0, 0), k)]
+            for got, want in (
+                (p + k, _reference([*model.items(), *const])),
+                (k + p, _reference([*model.items(), *const])),
+                (p - k, _reference([*model.items(), ((0, 0), -k)])),
+                (k - p, _reference([*negated, *const])),
+                (p * k, _ref_mul(model, _reference(const))),
+                (k * p, _ref_mul(model, _reference(const))),
+            ):
+                assert isinstance(got, Poly) and got.terms == want and _is_canonical(got), (k, got)
+
     def test_inexact_evaluation_point_rejected(self):
         x = Poly.variable(0, 1)
         for bad in (0.5, "2", True):

@@ -14,7 +14,7 @@ from linrec.oracle import char_poly_of_power, companion, mat_pow, mat_trace
 from linrec.progression import gamma_coefficients, subseq_recurrence
 from linrec.recurrence import _JUMP_CUTOFF, _stride_terms, seq_eval, seq_range, seq_window
 from linrec.sums import invert_sequence, partial_sum_closed, progression_sum
-from support import random_spec
+from support import random_spec, squarings
 
 C1, C2 = Poly.variables(2)
 SPECS = {
@@ -119,7 +119,8 @@ class TestHalfJump:
                 assert seq_eval(spec, n) == terms[n] == by_matrix(spec, n), (spec, n)
 
     def test_product_count(self, monkeypatch):
-        # one _mulmod per squaring of x^(n//2) mod q; the window and the last step use none
+        # one _mulmod per squaring of x^(n//2) mod q past its unit-vector start; the window and
+        # the last step use none
         calls = []
         real = recurrence._mulmod
 
@@ -132,11 +133,14 @@ class TestHalfJump:
             for n in (_JUMP_CUTOFF, _JUMP_CUTOFF + 1, 511, 512, 1000, 4097, 10**5):
                 calls.clear()
                 seq_eval(spec, n)
-                assert len(calls) == (n // 2).bit_length(), (spec, n)
+                assert len(calls) == squarings(n // 2, spec.order), (spec, n)
+        calls.clear()
+        seq_eval(RecurrenceSpec(CoeffVector((1,) * 8), (0,) * 7 + (1,)), 300)
+        assert len(calls) == 5  # x^150 from x^(150 >> 5) = x^4: five squarings
         for m in (_JUMP_CUTOFF, 1025):
             calls.clear()
             gamma_coefficients((1, 1), m)
-            assert len(calls) == (m // 2).bit_length()
+            assert len(calls) == squarings(m // 2, 2)
 
     def test_against_walk_property(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -232,16 +236,17 @@ class TestSharedChain:
                 for r in (0, 39, _JUMP_CUTOFF - d):
                     calls.clear()
                     subseq_recurrence(spec, m, r)
-                    want = 0 if d == 1 else (m // 2).bit_length() if d == 2 else m.bit_length() + d - 2
+                    want = 0 if d == 1 else squarings(m // 2, 2) if d == 2 else squarings(m, d) + d - 2
                     assert len(calls) == want, (spec, m, r)
 
     def test_far_window_product_count(self, calls):
-        # the far window is x^300 applied to the head walked forward (9 calls; stepping x^300
-        # by x would add d), then the chain: a half jump at d = 2, x^300 and one step at d = 3
+        # the far window is x^300 applied to the head walked forward (8 calls; stepping x^300
+        # by x would add d), then the chain: a half jump (x^150, 7 calls) at d = 2, x^300 and
+        # one step at d = 3
         for c, head in (((1, 1), (0, 1)), ((1, 1, 1), (0, 0, 1))):
             calls.clear()
             subseq_recurrence(RecurrenceSpec(CoeffVector(c), head), 300, 300)
-            assert len(calls) == {2: 9 + 8, 3: 9 + 9 + 1}[len(c)]
+            assert len(calls) == {2: 8 + 7, 3: 8 + 8 + 1}[len(c)]
 
     def test_against_unshared_property(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -252,9 +257,11 @@ class TestSharedChain:
         @st.composite
         def cases(draw):
             d = draw(st.integers(1, 6))
+            # the coefficients' kind and the head's kind are drawn apart, so mixed specs come up
             scalar = scalars[draw(st.sampled_from(sorted(scalars)))]
+            head_scalar = scalars[draw(st.sampled_from(sorted(scalars)))]
             c = [draw(scalar) for _ in range(d - 1)] + [draw(scalar.filter(bool))]
-            head = [draw(scalar) for _ in range(d)]
+            head = [draw(head_scalar) for _ in range(d)]
             m = draw(st.one_of(st.integers(1, 3), st.integers(60, 300)))
             r = draw(st.one_of(st.integers(0, 6), st.integers(_JUMP_CUTOFF - 8, _JUMP_CUTOFF + 8)))
             return RecurrenceSpec(CoeffVector(tuple(c)), tuple(head)), m, r
@@ -288,9 +295,12 @@ class TestOneWindowRoute:
         @st.composite
         def cases(draw):
             d = draw(st.integers(1, 5))
+            # the coefficients' kind and the head's kind are drawn apart, so Poly or Fraction
+            # coefficients over an int head, the usual symbolic spec, come up
             scalar = scalars[draw(st.sampled_from(sorted(scalars)))]
+            head_scalar = scalars[draw(st.sampled_from(sorted(scalars)))]
             c = [draw(scalar) for _ in range(d - 1)] + [draw(scalar.filter(bool))]
-            head = [draw(scalar) for _ in range(d)]
+            head = [draw(head_scalar) for _ in range(d)]
             n0 = draw(st.one_of(st.integers(0, 6), st.integers(_JUMP_CUTOFF - 8, _JUMP_CUTOFF + 8)))
             return RecurrenceSpec(CoeffVector(tuple(c)), tuple(head)), n0, draw(st.sampled_from([1, d, d + 1, 40]))
 

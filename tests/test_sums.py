@@ -17,7 +17,7 @@ from linrec.sums import (
     partial_sum_form,
     progression_sum,
 )
-from support import random_spec
+from support import random_spec, squarings
 
 FIB = RecurrenceSpec(CoeffVector((1, 1)), (0, 1))
 TRIB = RecurrenceSpec(CoeffVector((1, 1, 1)), (0, 0, 1))
@@ -277,7 +277,8 @@ class TestFarSums:
     )
 
     def test_product_count(self, monkeypatch):
-        # one _mulmod per squaring of the half jump to a'_(n+1); the head and the last step use none
+        # one _mulmod per squaring of the half jump to a'_(n+1) past its unit-vector start; the
+        # head and the last step use none
         calls = []
         real = recurrence._mulmod
 
@@ -290,7 +291,7 @@ class TestFarSums:
             for n in (_JUMP_CUTOFF - 1, _JUMP_CUTOFF, 511, 512, 1000, 4097, 10**5):
                 calls.clear()
                 partial_sum_closed(spec, n)
-                assert len(calls) == ((n + 1) // 2).bit_length(), (spec, n)
+                assert len(calls) == squarings((n + 1) // 2, spec.order), (spec, n)
 
     def test_against_direct_sums_property(self):
         hypothesis = pytest.importorskip("hypothesis")
