@@ -11,8 +11,9 @@ All three support ``+``, ``-``, ``*``, unary ``-`` and ``**`` with nonnegative
 integer exponents, so the higher-level algorithms are written once against
 that operator surface and run unchanged in numeric or symbolic mode.  The
 other operand of a Poly must be an int, a Fraction or a Poly over the same
-variables: a float, str, bool or None raises DomainError.  No floating point
-is used anywhere.
+variables: a float, str, bool or None raises DomainError.  A Poly divides by
+``/`` as :func:`exact_div` does, so only by a nonzero constant.  No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
@@ -263,6 +264,12 @@ class Poly:
         return Poly._make(self.nvars, _settle(terms))
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return exact_div(self, other)
+
+    def __rtruediv__(self, other):
+        return exact_div(self._coerce(other), self)
 
     def __pow__(self, exponent: int):
         _check_index(exponent, "exponent")

@@ -79,6 +79,11 @@ def mat_mul(a: list[list], b: list[list]) -> list[list]:
     """Matrix product a*b of exact entries (a float or bool entry, a ragged row or a non-matrix is a DomainError)."""
     if not _check_rows(a, "mat_mul") or len(a[0]) != _check_rows(b, "mat_mul"):
         raise DomainError("matrix shapes do not compose")
+    return _mat_mul(a, b)
+
+
+def _mat_mul(a: list[list], b: list[list]) -> list[list]:
+    """a*b of matrices already checked to compose."""
     cols = list(zip(*b))
     return [[_dot(row, col) for col in cols] for row in a]
 
@@ -91,10 +96,10 @@ def mat_pow(mat: list[list], exponent: int) -> list[list]:
     base = mat
     while exponent:
         if exponent & 1:
-            result = mat_mul(result, base)
+            result = _mat_mul(result, base)
         exponent >>= 1
         if exponent:  # past the top bit the square would go unused
-            base = mat_mul(base, base)
+            base = _mat_mul(base, base)
     return result
 
 

@@ -10,9 +10,11 @@ closed form from d look-ahead terms; when q(1) = 0 no closed form of this
 shape exists (DegenerateDivisor) and callers fall back to direct summation.
 
 The weighted sequence a'_k = sum_j w_j a_{k+j} satisfies the same
-recurrence, so the identity reads S_n = (a'_{n+1} - a'_0) / q(1): past the
-jump cutoff (n + d >= 256) a sum is one far term, a half jump from the head
-a'_0..a'_{d-1}; below it the d look-ahead terms a_{n+1}..a_{n+d} are walked.
+recurrence, so the identity reads S_n = (a'_{n+1} - a'_0) / q(1): from
+n + d >= 256 on a sum is one far term, a half jump from the head
+a'_0..a'_{d-1}; below that the form is applied to the d look-ahead terms
+a_{n+1}..a_{n+d}, a window the term engine supplies, jumping to it once
+jumping is cheaper (:func:`linrec.recurrence._stride_heads`).
 
 The same machinery applies to arithmetic-progression subsequences: their own
 recurrence (from :mod:`linrec.progression`) is summed the same way, and its
@@ -77,9 +79,10 @@ def partial_sum_form(spec: RecurrenceSpec) -> SumClosedForm:
 def partial_sum_closed(spec: RecurrenceSpec, n: int):
     """sum_{j=0..n} a_j in closed form, exactly: (a'_{n+1} - a'_0) / q(1).
 
-    Past the cutoff a'_{n+1} is a half jump from a'_0..a'_{d-1}, which are
-    formed from a_0..a_{2d-2}; below it the form is applied to the walked
-    look-ahead terms a_{n+1}..a_{n+d}.  A non-constant polynomial q(1)
+    From n + d >= 256 on a'_{n+1} is a half jump from a'_0..a'_{d-1}, which
+    are formed from a_0..a_{2d-2}; below that the form is applied to the
+    look-ahead window a_{n+1}..a_{n+d} from the term engine, which jumps to
+    it once jumping is cheaper.  A non-constant polynomial q(1)
     raises DomainError before any term is computed.
     """
     _check_index(n, "n")

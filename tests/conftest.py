@@ -2,8 +2,12 @@
 
 The profile derandomizes example generation and keeps no example database, so a
 run neither depends on nor writes a ``.hypothesis/`` directory.  Each test's own
-``max_examples`` still applies.
+``max_examples`` still applies.  The ``mulmods`` fixture counts residue products.
 """
+
+import pytest
+
+from linrec import recurrence
 
 try:
     import hypothesis
@@ -12,3 +16,17 @@ except ImportError:  # the hypothesis tests skip themselves
 else:
     hypothesis.settings.register_profile("linrec", derandomize=True, database=None)
     hypothesis.settings.load_profile("linrec")
+
+
+@pytest.fixture
+def mulmods(monkeypatch):
+    """A list that gains one entry per recurrence._mulmod call (one residue product) made during the test."""
+    calls = []
+    real = recurrence._mulmod
+
+    def counted(a, b, c):
+        calls.append(1)
+        return real(a, b, c)
+
+    monkeypatch.setattr(recurrence, "_mulmod", counted)
+    return calls

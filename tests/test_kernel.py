@@ -295,6 +295,19 @@ class TestPolyInput:
             ):
                 assert isinstance(got, Poly) and got.terms == want and _is_canonical(got), (k, got)
 
+    def test_division_by_constants_only(self):
+        # / is exact_div: by a nonzero int or Fraction it is exact, and anything else is a DomainError
+        x, y = Poly.variables(2)
+        p = 2 * x * y - Fraction(1, 3) * x + 5
+        assert x / 2 == x * Fraction(1, 2)
+        assert x / Fraction(2, 3) == x * Fraction(3, 2) and (x / Fraction(2, 3)).terms == {(1, 0): Fraction(3, 2)}
+        assert p / 3 == p * Fraction(1, 3) and _is_canonical(p / 3)
+        assert p / Poly.const(-2, 2) == p * Fraction(-1, 2)
+        assert 3 / Poly.const(2, 2) == Fraction(3, 2) and isinstance(3 / Poly.const(2, 2), Poly)
+        for bad in (lambda: x / y, lambda: 1 / x, lambda: x / 0.5, lambda: 0.5 / x, lambda: x / True, lambda: "2" / x):
+            with pytest.raises(DomainError):
+                bad()
+
     def test_inexact_evaluation_point_rejected(self):
         x = Poly.variable(0, 1)
         for bad in (0.5, "2", True):

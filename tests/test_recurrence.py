@@ -12,9 +12,9 @@ from linrec.bell import bell_table
 from linrec.lucas import lucas_transform
 from linrec.oracle import char_poly_of_power, companion, mat_pow, mat_trace
 from linrec.progression import gamma_coefficients, subseq_recurrence
-from linrec.recurrence import _JUMP_CUTOFF, _stride_terms, seq_eval, seq_range, seq_window
+from linrec.recurrence import _JUMP_CUTOFF, _jump_from, _stride_terms, seq_eval, seq_range, seq_window
 from linrec.sums import invert_sequence, partial_sum_closed, progression_sum
-from support import random_spec, squarings
+from support import random_spec, squarings, window_products
 
 C1, C2 = Poly.variables(2)
 SPECS = {
@@ -37,9 +37,12 @@ def by_matrix(spec, n):
 
 
 def indices(name):
-    """Indices on both sides of the walk/jump cutoff, and far past it for scalars (Poly terms grow fast)."""
+    """Indices on both sides of where the engine starts jumping, and far past it for scalars (Poly terms grow fast)."""
     near = [_JUMP_CUTOFF - 1, _JUMP_CUTOFF, _JUMP_CUTOFF + 1]
-    return near if name.startswith("poly") else near + [997, 1000, 1024]
+    if name.startswith("poly"):
+        return near
+    at = _jump_from(SPECS[name].order)
+    return [at - 4, at - 1, at, at + 1] + near + [997, 1000, 1024]
 
 
 @functools.cache
@@ -118,29 +121,21 @@ class TestHalfJump:
             for n in self.INDICES:
                 assert seq_eval(spec, n) == terms[n] == by_matrix(spec, n), (spec, n)
 
-    def test_product_count(self, monkeypatch):
+    def test_product_count(self, mulmods):
         # one _mulmod per squaring of x^(n//2) mod q past its unit-vector start; the window and
         # the last step use none
-        calls = []
-        real = recurrence._mulmod
-
-        def counted(a, b, c):
-            calls.append(1)
-            return real(a, b, c)
-
-        monkeypatch.setattr(recurrence, "_mulmod", counted)
         for spec in (TRIB, SPECS["int-d1"], SPECS["int-d5"], SPECS["fraction-d3"]):
             for n in (_JUMP_CUTOFF, _JUMP_CUTOFF + 1, 511, 512, 1000, 4097, 10**5):
-                calls.clear()
+                mulmods.clear()
                 seq_eval(spec, n)
-                assert len(calls) == squarings(n // 2, spec.order), (spec, n)
-        calls.clear()
+                assert len(mulmods) == squarings(n // 2, spec.order), (spec, n)
+        mulmods.clear()
         seq_eval(RecurrenceSpec(CoeffVector((1,) * 8), (0,) * 7 + (1,)), 300)
-        assert len(calls) == 5  # x^150 from x^(150 >> 5) = x^4: five squarings
+        assert len(mulmods) == 5  # x^150 from x^(150 >> 5) = x^4: five squarings
         for m in (_JUMP_CUTOFF, 1025):
-            calls.clear()
+            mulmods.clear()
             gamma_coefficients((1, 1), m)
-            assert len(calls) == squarings(m // 2, 2)
+            assert len(mulmods) == squarings(m // 2, 2)
 
     def test_against_walk_property(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -150,19 +145,48 @@ class TestHalfJump:
 
         @st.composite
         def cases(draw):
-            d = draw(st.integers(1, 6))
+            d = draw(st.integers(1, 8))
             scalar = scalars[draw(st.sampled_from(sorted(scalars)))]
             c = [draw(scalar) for _ in range(d - 1)] + [draw(scalar.filter(bool))]
             head = [draw(scalar) for _ in range(d)]
-            return RecurrenceSpec(CoeffVector(tuple(c)), tuple(head)), draw(st.integers(_JUMP_CUTOFF, 1500))
+            # on both sides of where a single term starts jumping, and far past it
+            n = draw(st.one_of(st.integers(_jump_from(d) - 8, _jump_from(d) + 8), st.integers(_JUMP_CUTOFF, 1500)))
+            return RecurrenceSpec(CoeffVector(tuple(c)), tuple(head)), n
 
         @hypothesis.settings(max_examples=100, deadline=None)
         @hypothesis.given(cases())
         def check(case):
             spec, n = case
-            assert seq_eval(spec, n) == recurrence._extend(spec.coeffs.c, list(spec.initial), n)[n]
+            got, want = seq_eval(spec, n), recurrence._extend(spec.coeffs.c, list(spec.initial), n)[n]
+            assert got == want and type(got) is type(want)
 
         check()
+
+
+class TestRouteRule:
+    """A single term or window of int or Fraction data jumps from _jump_from(d) on; Poly terms and
+    stride chains walk below _JUMP_CUTOFF."""
+
+    def test_product_count(self, mulmods):
+        for spec in half_jump_specs() + [SPECS["fraction-d1"], SPECS["fraction-d3"]]:
+            d, at = spec.order, _jump_from(spec.order)
+            walked = seq_range(spec, 0, 100)
+            for n, want in ((at - 1, 0), (at, squarings(at // 2, d)), (100, squarings(50, d))):
+                mulmods.clear()
+                assert seq_eval(spec, n) == walked[n]
+                assert len(mulmods) == want, (spec, n)
+            # the window's d-th term one below and at the limit: x^r mod q, a half jump at d = 1
+            for r, want in ((at - d, 0), (at - d + 1, squarings(at // 2 if d == 1 else at - d + 1, d))):
+                mulmods.clear()
+                assert seq_window(spec, r, d) == walked[r : r + d]
+                assert len(mulmods) == want, (spec, r)
+        mulmods.clear()
+        for name in ("poly-d1", "poly-d2", "poly-d2-mixed"):
+            seq_eval(SPECS[name], 200)
+        for spec in (TRIB, SPECS["fraction-d3"]):
+            _stride_terms(spec.coeffs.c, spec.initial, 5, 200, 12)  # a_200, ..., a_255
+            gamma_coefficients(spec.coeffs.c, 85, cross_check=True)  # hat_85, hat_170, hat_255
+        assert mulmods == []
 
 
 class TestFarSlices:
@@ -216,37 +240,26 @@ class TestSharedChain:
         RecurrenceSpec(CoeffVector((1,) * 6), (0,) * 5 + (1,)),
     ]
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = []
-        real = recurrence._mulmod
-
-        def counted(a, b, c):
-            calls.append(1)
-            return real(a, b, c)
-
-        monkeypatch.setattr(recurrence, "_mulmod", counted)
-        return calls
-
-    def test_product_count(self, calls):
-        # near window walked, chain jumped: x^m, then d - 2 steps by it (a half jump at d = 2)
+    def test_product_count(self, mulmods):
+        # the window a_r..a_(r+d-1) walked or jumped as a window alone is; the chain jumped: x^m,
+        # then d - 2 steps by it (a half jump at d = 2)
         for spec in self.SPECS:
             d = spec.order
             for m in {-(-_JUMP_CUTOFF // max(d - 1, 1)), 1000, 6002}:
-                for r in (0, 39, _JUMP_CUTOFF - d):
-                    calls.clear()
+                for r in (0, 39, _jump_from(d) - d, _jump_from(d) - d + 1, _JUMP_CUTOFF - d):
+                    mulmods.clear()
                     subseq_recurrence(spec, m, r)
-                    want = 0 if d == 1 else squarings(m // 2, 2) if d == 2 else squarings(m, d) + d - 2
-                    assert len(calls) == want, (spec, m, r)
+                    chain = 0 if d == 1 else squarings(m // 2, 2) if d == 2 else squarings(m, d) + d - 2
+                    assert len(mulmods) == window_products(r, d, d) + chain, (spec, m, r)
 
-    def test_far_window_product_count(self, calls):
+    def test_far_window_product_count(self, mulmods):
         # the far window is x^300 applied to the head walked forward (8 calls; stepping x^300
         # by x would add d), then the chain: a half jump (x^150, 7 calls) at d = 2, x^300 and
         # one step at d = 3
         for c, head in (((1, 1), (0, 1)), ((1, 1, 1), (0, 0, 1))):
-            calls.clear()
+            mulmods.clear()
             subseq_recurrence(RecurrenceSpec(CoeffVector(c), head), 300, 300)
-            assert len(calls) == {2: 8 + 7, 3: 8 + 8 + 1}[len(c)]
+            assert len(mulmods) == {2: 8 + 7, 3: 8 + 8 + 1}[len(c)]
 
     def test_against_unshared_property(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -301,7 +314,10 @@ class TestOneWindowRoute:
             head_scalar = scalars[draw(st.sampled_from(sorted(scalars)))]
             c = [draw(scalar) for _ in range(d - 1)] + [draw(scalar.filter(bool))]
             head = [draw(head_scalar) for _ in range(d)]
-            n0 = draw(st.one_of(st.integers(0, 6), st.integers(_JUMP_CUTOFF - 8, _JUMP_CUTOFF + 8)))
+            # inside the head, on both sides of where an int or Fraction window starts jumping, and
+            # on both sides of where a Poly one does
+            at = _jump_from(d)
+            n0 = draw(st.one_of(st.integers(0, 6), st.integers(at - 8, at + 8), st.integers(_JUMP_CUTOFF - 8, _JUMP_CUTOFF + 8)))
             return RecurrenceSpec(CoeffVector(tuple(c)), tuple(head)), n0, draw(st.sampled_from([1, d, d + 1, 40]))
 
         @hypothesis.settings(max_examples=100, deadline=None)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from linrec import CoeffVector, DegenerateDivisor, DomainError, InvalidCoeffs, Poly, RecurrenceSpec, recurrence, sums
+from linrec import CoeffVector, DegenerateDivisor, DomainError, InvalidCoeffs, Poly, RecurrenceSpec, sums
 from linrec.lucas import lucas_transform, lucas_transform_bell_prefix
 from linrec.oracle import companion, mat_pow
 from linrec.progression import gamma_coefficients, subseq_recurrence
@@ -276,22 +276,14 @@ class TestFarSums:
         RecurrenceSpec(CoeffVector((Fraction(1, 3),)), (Fraction(2, 7),)),
     )
 
-    def test_product_count(self, monkeypatch):
+    def test_product_count(self, mulmods):
         # one _mulmod per squaring of the half jump to a'_(n+1) past its unit-vector start; the
         # head and the last step use none
-        calls = []
-        real = recurrence._mulmod
-
-        def counted(a, b, c):
-            calls.append(1)
-            return real(a, b, c)
-
-        monkeypatch.setattr(recurrence, "_mulmod", counted)
         for spec in self.SPECS:
             for n in (_JUMP_CUTOFF - 1, _JUMP_CUTOFF, 511, 512, 1000, 4097, 10**5):
-                calls.clear()
+                mulmods.clear()
                 partial_sum_closed(spec, n)
-                assert len(calls) == squarings((n + 1) // 2, spec.order), (spec, n)
+                assert len(mulmods) == squarings((n + 1) // 2, spec.order), (spec, n)
 
     def test_against_direct_sums_property(self):
         hypothesis = pytest.importorskip("hypothesis")
