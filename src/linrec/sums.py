@@ -10,11 +10,17 @@ closed form from d look-ahead terms; when q(1) = 0 no closed form of this
 shape exists (DegenerateDivisor) and callers fall back to direct summation.
 
 The weighted sequence a'_k = sum_j w_j a_{k+j} satisfies the same
-recurrence, so the identity reads S_n = (a'_{n+1} - a'_0) / q(1): from
-n + d >= 256 on a sum is one far term, a half jump from the head
-a'_0..a'_{d-1}; below that the form is applied to the d look-ahead terms
-a_{n+1}..a_{n+d}, a window the term engine supplies, jumping to it once
-jumping is cheaper (:func:`linrec.recurrence._stride_heads`).
+recurrence, so the identity reads S_n = (a'_{n+1} - a'_0) / q(1).  A sum
+takes one of three routes, after q(1) is checked and before any term:
+
+* walked int sum: on int data, where the term engine would walk to the
+  look-ahead window (n + d below :func:`linrec.recurrence._jump_from`), the
+  walked terms a_0..a_n are added up, with d fewer steps and no division;
+* jumped window: below n + d = 256 the form is applied to the d look-ahead
+  terms a_{n+1}..a_{n+d}, a window the term engine supplies, jumping to it
+  once jumping is cheaper (:func:`linrec.recurrence._stride_heads`);
+* half jump: from n + d >= 256 on a sum is one far term, a half jump from
+  the head a'_0..a'_{d-1}.
 
 The same machinery applies to arithmetic-progression subsequences: their own
 recurrence (from :mod:`linrec.progression`) is summed the same way, and its
@@ -33,7 +39,16 @@ from dataclasses import dataclass
 
 from .kernel import DomainError, Poly, _check_exact, _check_index, exact_div, ring_const
 from .progression import subseq_recurrence
-from .recurrence import _JUMP_CUTOFF, RecurrenceSpec, _stride_terms, as_coeff_vector, seq_eval, seq_range, seq_window
+from .recurrence import (
+    _JUMP_CUTOFF,
+    RecurrenceSpec,
+    _jump_from,
+    _stride_terms,
+    as_coeff_vector,
+    seq_eval,
+    seq_range,
+    seq_window,
+)
 
 
 class DegenerateDivisor(ArithmeticError):
@@ -63,14 +78,18 @@ class SumClosedForm:
         return exact_div(numerator, self.divisor)
 
 
+def _divisor(c: tuple):
+    """q(1) = 1 - c_1 - ... - c_d; DegenerateDivisor when it is zero."""
+    divisor = 1 - sum(c)
+    if divisor == 0:
+        raise DegenerateDivisor("q(1) = 0 for these coefficients; sum the terms directly instead")
+    return divisor
+
+
 def partial_sum_form(spec: RecurrenceSpec) -> SumClosedForm:
     """Build the closed form for a spec; DegenerateDivisor when q(1) = 0."""
     c = spec.coeffs.c
-    divisor = 1 - sum(c)
-    if divisor == 0:
-        raise DegenerateDivisor(
-            "q(1) = 0 for these coefficients; sum the terms directly instead"
-        )
+    divisor = _divisor(c)
     weights = _weights(c)
     constant = -sum(w * a for w, a in zip(weights, spec.initial))
     return SumClosedForm(divisor=divisor, weights=tuple(weights), constant=constant)
@@ -79,17 +98,25 @@ def partial_sum_form(spec: RecurrenceSpec) -> SumClosedForm:
 def partial_sum_closed(spec: RecurrenceSpec, n: int):
     """sum_{j=0..n} a_j in closed form, exactly: (a'_{n+1} - a'_0) / q(1).
 
-    From n + d >= 256 on a'_{n+1} is a half jump from a'_0..a'_{d-1}, which
-    are formed from a_0..a_{2d-2}; below that the form is applied to the
-    look-ahead window a_{n+1}..a_{n+d} from the term engine, which jumps to
-    it once jumping is cheaper.  A non-constant polynomial q(1)
-    raises DomainError before any term is computed.
+    q(1) is checked before any term is computed: zero raises
+    DegenerateDivisor, a non-constant polynomial DomainError.  On int data
+    whose look-ahead a_{n+1}..a_{n+d} the term engine would walk to (n + d
+    below :func:`linrec.recurrence._jump_from`) the walked terms a_0..a_n
+    are added up.  Otherwise, below n + d = 256, the form is applied to that
+    look-ahead window, which the engine jumps to once jumping is cheaper;
+    from n + d >= 256 on a'_{n+1} is a half jump from a'_0..a'_{d-1}, formed
+    from a_0..a_{2d-2}.  Fraction and Poly data never take the walked sum:
+    each rational term read off alone costs a gcd, and the sum of a Poly
+    spec's int head terms would come back as an int.
     """
     _check_index(n, "n")
-    form = partial_sum_form(spec)
-    if isinstance(form.divisor, Poly) and form.divisor.total_degree() > 0:
-        raise DomainError(f"the closed sum divides by q(1) = {form.divisor}, a polynomial")
+    divisor = _divisor(spec.coeffs.c)
+    if isinstance(divisor, Poly) and divisor.total_degree() > 0:
+        raise DomainError(f"the closed sum divides by q(1) = {divisor}, a polynomial")
     d = spec.order
+    if n + d < _jump_from(d) and set(map(type, spec.coeffs.c + spec.initial)) == {int}:
+        return sum(seq_range(spec, 0, n))
+    form = partial_sum_form(spec)
     if n + d < _JUMP_CUTOFF:
         return form.evaluate(seq_range(spec, n + 1, n + d))
     a = seq_window(spec, 0, 2 * d - 1)
@@ -158,7 +185,11 @@ def lambda_decompose(spec: RecurrenceSpec) -> tuple:
 def progression_sum(spec: RecurrenceSpec, m: int, r: int, n: int):
     """sum_{j=0..n} a_{mj+r} in closed form, via the subsequence's own recurrence.
 
-    Raises DegenerateDivisor when the subsequence divisor vanishes, which can
-    happen even though the base divisor does not.
+    The slice is summed by :func:`partial_sum_closed`, on the same three
+    routes: an int slice whose look-ahead the engine would walk adds up its
+    walked terms, else the form is applied to a jumped window, or from
+    n + d >= 256 on to one half jump.  Raises DegenerateDivisor when the
+    subsequence divisor vanishes, which can happen even though the base
+    divisor does not.
     """
     return partial_sum_closed(subseq_recurrence(spec, m, r), n)

@@ -1,10 +1,11 @@
-"""Shared helpers for the test suite: reproducible random recurrence specs and residue-product counts."""
+"""Shared helpers for the test suite: reproducible random recurrence specs, residue-product counts and reference routes."""
 
 from __future__ import annotations
 
 import random
 
-from linrec import CoeffVector, RecurrenceSpec
+from linrec import CoeffVector, RecurrenceSpec, recurrence
+from linrec.oracle import companion, mat_pow
 from linrec.recurrence import _jump_from
 
 
@@ -36,3 +37,21 @@ def window_products(r: int, k: int, d: int) -> int:
     if r < d or r + min(k, d) - 1 < _jump_from(d):
         return 0
     return squarings(r // 2 if k == 1 else r, d)
+
+
+def by_matrix(spec, n):
+    """a_n read off the last row of the n-th companion power."""
+    row = mat_pow(companion(spec.coeffs), n)[-1]
+    return sum(p * s for p, s in zip(row, reversed(spec.initial)))
+
+
+def walk_reference(c, head, m, r, count):
+    """The stride by a forward walk from a_0 in the data's own domain."""
+    last = r + (count - 1) * m
+    return recurrence._extend(c, list(head), max(last, len(head) - 1))[r : last + 1 : m]
+
+
+def matrix_reference(c, head, m, r, count):
+    """The stride off the last rows of companion-matrix powers."""
+    spec = RecurrenceSpec(CoeffVector(c), tuple(head))
+    return [head[i] if i < len(head) else by_matrix(spec, i) for i in range(r, r + count * m, m)]

@@ -14,7 +14,7 @@ from linrec.oracle import char_poly_of_power, companion, mat_pow, mat_trace
 from linrec.progression import gamma_coefficients, subseq_recurrence
 from linrec.recurrence import _JUMP_CUTOFF, _jump_from, _stride_terms, seq_eval, seq_range, seq_window
 from linrec.sums import invert_sequence, partial_sum_closed, progression_sum
-from support import random_spec, squarings, window_products
+from support import by_matrix, matrix_reference, random_spec, squarings, walk_reference, window_products
 
 C1, C2 = Poly.variables(2)
 SPECS = {
@@ -28,12 +28,6 @@ SPECS = {
     "poly-d2-mixed": RecurrenceSpec(CoeffVector((C1, C2)), (C1, 1)),
 }
 TRIB = RecurrenceSpec(CoeffVector((1, 1, 1)), (0, 0, 1))
-
-
-def by_matrix(spec, n):
-    """a_n read off the last row of the n-th companion power."""
-    row = mat_pow(companion(spec.coeffs), n)[-1]
-    return sum(p * s for p, s in zip(row, reversed(spec.initial)))
 
 
 def indices(name):
@@ -414,18 +408,6 @@ class TestClosedFormsDoNotWalk:
         argv = ["verify", "--catalog", "tribonacci", "--m", "5000", "--depth", "8"]
         assert cli.main(argv) == 0
         assert "result\tPASS" in capsys.readouterr().out
-
-
-def walk_reference(c, head, m, r, count):
-    """The stride by a forward walk from a_0 in the data's own domain."""
-    last = r + (count - 1) * m
-    return recurrence._extend(c, list(head), max(last, len(head) - 1))[r : last + 1 : m]
-
-
-def matrix_reference(c, head, m, r, count):
-    """The stride off the last rows of companion-matrix powers."""
-    spec = RecurrenceSpec(CoeffVector(c), tuple(head))
-    return [head[i] if i < len(head) else by_matrix(spec, i) for i in range(r, r + count * m, m)]
 
 
 class TestRationalLift:

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from linrec import CoeffVector, DegenerateDivisor, DomainError, InvalidCoeffs, Poly, RecurrenceSpec, sums
+from linrec import CoeffVector, DegenerateDivisor, DomainError, InvalidCoeffs, Poly, RecurrenceSpec, cli, sums
 from linrec.lucas import lucas_transform, lucas_transform_bell_prefix
 from linrec.oracle import companion, mat_pow
 from linrec.progression import gamma_coefficients, subseq_recurrence
-from linrec.recurrence import _JUMP_CUTOFF, seq_eval, seq_range, seq_window
+from linrec.recurrence import _JUMP_CUTOFF, _jump_from, _stride_terms, seq_eval, seq_range, seq_window
 from linrec.sums import (
     invert_partial_sum,
     invert_sequence,
@@ -17,7 +17,7 @@ from linrec.sums import (
     partial_sum_form,
     progression_sum,
 )
-from support import random_spec, squarings
+from support import matrix_reference, random_spec, squarings, walk_reference
 
 FIB = RecurrenceSpec(CoeffVector((1, 1)), (0, 1))
 TRIB = RecurrenceSpec(CoeffVector((1, 1, 1)), (0, 0, 1))
@@ -125,10 +125,13 @@ class TestPartialSumValues:
             if 1 - sum(spec.coeffs.c) == 0:
                 continue
             terms = seq_range(spec, 0, 45)
+            form = partial_sum_form(spec)
             running = 0
             for n in range(0, 41):
                 running += terms[n]
                 assert partial_sum_closed(spec, n) == running
+                # the form on the look-ahead: int sums this short add up the walked terms instead
+                assert form.evaluate(terms[n + 1 : n + 1 + spec.order]) == running
             checked += 1
 
     def test_rational_spec(self):
@@ -317,6 +320,97 @@ class TestFarSums:
         check()
 
 
+class TestWalkedIntSums:
+    """An int sum whose look-ahead the engine would walk (n + d < _jump_from(d)) adds up a_0..a_n."""
+
+    class Divided(Exception):
+        pass
+
+    @classmethod
+    def refuse(cls, *args):
+        raise cls.Divided
+
+    @pytest.fixture
+    def no_division(self, monkeypatch):
+        monkeypatch.setattr(sums, "exact_div", self.refuse)
+
+    def test_against_form_and_reference_routes_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ints = st.integers(-3, 3)
+
+        @st.composite
+        def cases(draw):
+            d = draw(st.integers(1, 8))
+            c = [draw(ints) for _ in range(d - 1)] + [draw(ints.filter(bool))]
+            hypothesis.assume(sum(c) != 1)
+            head = [draw(st.integers(-5, 5)) for _ in range(d)]
+            edge = _jump_from(d) - d  # the least n whose look-ahead the engine jumps to
+            n = draw(st.one_of(st.integers(0, d + 2), st.integers(edge - 6, edge + 5)))
+            return tuple(c), tuple(head), n
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(cases())
+        def check(case):
+            c, head, n = case
+            spec = RecurrenceSpec(CoeffVector(c), head)
+            closed = partial_sum_closed(spec, n)
+            by_form = partial_sum_form(spec).evaluate(seq_range(spec, n + 1, n + len(c)))
+            by_walk = sum(walk_reference(c, head, 1, 0, n + 1))
+            assert closed == by_form == by_walk
+            assert type(closed) is type(by_form) is type(by_walk) is int
+            if n < 40:
+                assert closed == sum(matrix_reference(c, head, 1, 0, n + 1))
+
+        check()
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_route_edge(self, d, no_division):
+        rng = random.Random(57)
+        spec = random_spec(rng, max_d=8)
+        while spec.order != d or sum(spec.coeffs.c) == 1:
+            spec = random_spec(rng, max_d=8)
+        n = _jump_from(d) - d - 1  # a_(n+d) is walked: no division
+        total = partial_sum_closed(spec, n)
+        assert total == sum(walk_reference(spec.coeffs.c, spec.initial, 1, 0, n + 1))
+        assert type(total) is int
+        with pytest.raises(self.Divided):  # a_(n+d+1) is jumped to: the form divides
+            partial_sum_closed(spec, n + 1)
+
+    def test_rational_sums_divide(self, monkeypatch):
+        specs = (
+            RecurrenceSpec(CoeffVector((Fraction(1, 3), 1)), (1, 1)),
+            RecurrenceSpec(CoeffVector((1, 1)), (Fraction(2, 1), 1)),  # a whole Fraction is still a Fraction
+        )
+        totals = [partial_sum_closed(spec, 1) for spec in specs]
+        assert totals == [2, 3] and {type(t) for t in totals} == {Fraction}
+        monkeypatch.setattr(sums, "exact_div", self.refuse)
+        for spec in specs:
+            with pytest.raises(self.Divided):
+                partial_sum_closed(spec, 1)
+
+    @pytest.mark.parametrize(
+        "c, init, m, r", [((1, 1), (0, 1), 500, 7), ((1, 1, 1), (0, 0, 1), 733, 0), ((2, -1, 1, 1), (1, 0, -2, 3), 1024, 511)]
+    )
+    def test_wide_slice_sums(self, c, init, m, r, no_division):
+        # the slice's own int recurrence, summed without a division, against the base spec's stride
+        total = progression_sum(RecurrenceSpec(CoeffVector(c), init), m, r, 8)
+        assert total == sum(_stride_terms(c, init, m, r, 9))
+
+    def test_divisor_checked_before_any_term(self, monkeypatch, capsys):
+        def no_terms(*args):
+            raise AssertionError("a term was computed for a sum that cannot be divided out")
+
+        monkeypatch.setattr(sums, "seq_range", no_terms)
+        spec = RecurrenceSpec(CoeffVector((2, -1)), (0, 1))
+        for n in range(6):
+            with pytest.raises(DegenerateDivisor):
+                partial_sum_closed(spec, n)
+        assert cli.main(["sum", "--coeffs", "2,-1", "--init", "0,1", "--n", "3"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.strip()
+
+
 class TestProgressionSum:
     def test_matches_direct(self):
         rng = random.Random(56)
@@ -325,11 +419,14 @@ class TestProgressionSum:
             spec = random_spec(rng, max_d=4)
             m = rng.randint(1, 5)
             r = rng.randint(0, 3)
-            base = seq_range(spec, 0, 20 * m + r)
-            window = [base[m * i + r] for i in range(21)]
+            d = spec.order
+            base = seq_range(spec, 0, (20 + d) * m + r)
+            window = [base[m * i + r] for i in range(21 + d)]
             try:
+                form = partial_sum_form(subseq_recurrence(spec, m, r))
                 for n in range(0, 21):
                     assert progression_sum(spec, m, r, n) == sum(window[: n + 1])
+                    assert form.evaluate(window[n + 1 : n + 1 + d]) == sum(window[: n + 1])
             except DegenerateDivisor:
                 continue
             checked += 1
