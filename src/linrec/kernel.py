@@ -12,15 +12,19 @@ integer exponents, so the higher-level algorithms are written once against
 that operator surface and run unchanged in numeric or symbolic mode.  The
 other operand of a Poly must be an int, a Fraction or a Poly over the same
 variables: a float, str, bool or None raises DomainError.  A Poly divides by
-``/`` as :func:`exact_div` does, so only by a nonzero constant.  No floating
+``/`` as :func:`exact_div` does, so only by a nonzero constant, and has no
+order: ``abs``, ``<``, ``<=``, ``>`` and ``>=`` raise DomainError.  A Poly
+packs each monomial into one int key, caps every exponent at 2**31 - 1, and
+hands out its terms only as a decoded copy (:attr:`Poly.terms`).  No floating
 point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, reduce
 import math
-from operator import add
+from operator import or_
 
 
 class DivisionNotExact(ArithmeticError):
@@ -49,7 +53,7 @@ def _check_exact(values, what: str, error: type = DomainError) -> tuple:
     except TypeError:
         raise error(f"{what} must be a sequence of exact values, got {values!r}") from None
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, Fraction, Poly)):
+        if isinstance(v, bool) or not isinstance(v, (int, Poly, Fraction)):
             raise error(f"{what} must be exact (int, Fraction or Poly), got {v!r}")
     return values
 
@@ -131,26 +135,41 @@ def lower_like(value, exemplars):
 # ---------------------------------------------------------------------------
 # Sparse multivariate polynomials
 
+#: Bits per variable in a packed monomial key; every exponent stays below _EXP_CAP.
+_FIELD = 32
+_FIELD_MASK = (1 << _FIELD) - 1
+_EXP_CAP = 1 << (_FIELD - 1)
+
+
+@cache
+def _guard(nvars: int) -> int:
+    """The top bit of each of nvars fields: a product key has one set only where an exponent reached _EXP_CAP."""
+    return sum(_EXP_CAP << (_FIELD * i) for i in range(nvars))
+
 
 class Poly:
     """Sparse multivariate polynomial with integer coefficients where it can.
 
-    Terms are stored as a dict mapping exponent tuples (one entry per
-    variable) to nonzero coefficients in one canonical form: an ``int``, or a
-    ``Fraction`` only when its denominator is not 1.  The zero polynomial is
-    the empty dict.  The public constructor validates and canonicalises its
-    input; the ring operations build their results through the trusted
-    :meth:`_make`, which checks nothing.  Instances are treated as immutable:
-    every operation returns a fresh Poly.  Serialization and printing walk
-    the terms in graded lexicographic order, largest first, so output is
-    deterministic.
+    Each monomial is packed into one int key, sum of e_i * 2**(32*i), so a
+    product of monomials is one int addition and the constant monomial is key
+    0.  An exponent must be below 2**31: the constructor rejects a larger one,
+    and a product whose exponent would reach 2**31 raises DomainError, so a
+    carry never spills into the next variable.  The private dict maps keys to
+    nonzero coefficients in one canonical form: an ``int``, or a ``Fraction``
+    only when its denominator is not 1.  The zero polynomial is the empty
+    dict.  :attr:`terms` decodes it to a fresh dict keyed by exponent tuples.
+    The public constructor validates and canonicalises its input; the ring
+    operations build their results through the trusted :meth:`_make`, which
+    checks nothing.  Instances are immutable, so ``p + 0`` and ``p * 1``
+    return ``p`` itself.  Serialization and printing walk the terms in graded
+    lexicographic order, largest first, so output is deterministic.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms=()):
         _check_nvars(nvars)
-        clean: dict[tuple[int, ...], int | Fraction] = {}
+        clean: dict[int, int | Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         try:
             items = [(tuple(exps), coeff) for exps, coeff in items]
@@ -158,19 +177,20 @@ class Poly:
             raise DomainError(f"Poly terms must be (exponents, coefficient) pairs, got {terms!r:.80}") from None
         for exps, coeff in items:
             if len(exps) != nvars or not all(
-                isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exps
+                isinstance(e, int) and not isinstance(e, bool) and 0 <= e < _EXP_CAP for e in exps
             ):
-                raise DomainError(f"bad exponent vector {exps!r} for nvars={nvars}")
-            clean[exps] = clean.get(exps, 0) + _coefficient(coeff)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", _settle(clean))
+                raise DomainError(f"bad exponent vector {exps!r} for nvars={nvars}: need ints in 0..2**31 - 1")
+            key = sum(e << s for e, s in zip(exps, range(0, _FIELD * nvars, _FIELD)))
+            clean[key] = clean.get(key, 0) + _coefficient(coeff)
+        _set_nvars(self, nvars)
+        _set_terms(self, _settle(clean))
 
     @staticmethod
     def _make(nvars: int, terms: dict) -> "Poly":
-        """Trusted constructor: ``terms`` is already canonical and owned by the result."""
-        p = object.__new__(Poly)
-        object.__setattr__(p, "nvars", nvars)
-        object.__setattr__(p, "terms", terms)
+        """Trusted constructor: ``terms`` is already canonical, packed and owned by the result."""
+        p = _new(Poly)
+        _set_nvars(p, nvars)
+        _set_terms(p, terms)
         return p
 
     def __setattr__(self, name, value):
@@ -182,7 +202,7 @@ class Poly:
     def const(cls, value, nvars: int) -> "Poly":
         _check_nvars(nvars)
         value = _coefficient(value)
-        return cls._make(nvars, {(0,) * nvars: value} if value else {})
+        return cls._make(nvars, {0: value} if value else {})
 
     @classmethod
     def variable(cls, i: int, nvars: int) -> "Poly":
@@ -190,8 +210,7 @@ class Poly:
         _check_index(i, "i")
         if i >= nvars:
             raise DomainError(f"variable index {i} out of range for nvars={nvars}")
-        exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls._make(nvars, {exps: 1})
+        return cls._make(nvars, {1 << (_FIELD * i): 1})
 
     @classmethod
     def variables(cls, nvars: int) -> tuple["Poly", ...]:
@@ -201,16 +220,22 @@ class Poly:
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], int | Fraction]:
+        """A fresh dict mapping exponent tuples (one entry per variable) to the nonzero coefficients."""
+        shifts = range(0, _FIELD * self.nvars, _FIELD)
+        return {tuple((key >> s) & _FIELD_MASK for s in shifts): c for key, c in self._terms.items()}
+
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(map(sum, self.terms), default=-1)
 
     def constant_value(self) -> int | Fraction:
         """The coefficient of the constant term (0 if absent)."""
-        return self.terms.get((0,) * self.nvars, 0)
+        return self._terms.get(0, 0)
 
     def has_integer_coefficients(self) -> bool:
-        return not any(isinstance(c, Fraction) for c in self.terms.values())
+        return not any(isinstance(c, Fraction) for c in self._terms.values())
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         """Terms in graded-lex order, highest first."""
@@ -227,19 +252,21 @@ class Poly:
         return Poly.const(other, self.nvars)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if not other.terms:
+        if type(other) is int and not other:
             return self
-        terms = dict(self.terms)
+        other = self._coerce(other)
+        if not other._terms:
+            return self
+        terms = dict(self._terms)
         get = terms.get
-        for exps, c in other.terms.items():
-            terms[exps] = get(exps, 0) + c
-        return Poly._make(self.nvars, _settle(terms, other.terms))
+        for key, c in other._terms.items():
+            terms[key] = get(key, 0) + c
+        return Poly._make(self.nvars, _settle(terms, other._terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._make(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.nvars, {key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + -self._coerce(other)
@@ -248,19 +275,32 @@ class Poly:
         return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             c = _coefficient(other)
+            if c == 1:
+                return self
             if not c:
                 return Poly._make(self.nvars, {})
-            return Poly._make(self.nvars, _settle({e: k * c for e, k in self.terms.items()}))
+            return Poly._make(self.nvars, _settle({key: k * c for key, k in self._terms.items()}))
         other = self._coerce(other)
-        terms: dict[tuple[int, ...], int | Fraction] = {}
-        get = terms.get
-        right = list(other.terms.items())
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                e = tuple(map(add, e1, e2))
-                terms[e] = get(e, 0) + c1 * c2
+        big, small = (self, other) if len(self._terms) >= len(other._terms) else (other, self)
+        if len(small._terms) <= 1:  # zero or one term: no two products share a key
+            if not small._terms:
+                return small
+            ((k0, c0),) = small._terms.items()
+            if not k0 and c0 == 1:
+                return big
+            terms = {key + k0: c * c0 for key, c in big._terms.items()}
+        else:
+            terms = {}
+            get = terms.get
+            right = list(other._terms.items())
+            for k1, c1 in self._terms.items():
+                for k2, c2 in right:
+                    key = k1 + k2
+                    terms[key] = get(key, 0) + c1 * c2
+        if reduce(or_, terms, 0) & _guard(self.nvars):
+            raise DomainError("a product exponent exceeds 2**31 - 1")
         return Poly._make(self.nvars, _settle(terms))
 
     __rmul__ = __mul__
@@ -285,20 +325,27 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return self.nvars == other.nvars and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            if not self.terms:
+            terms = self._terms
+            if not terms:
                 return other == 0
-            return self.total_degree() == 0 and self.constant_value() == other
+            return len(terms) == 1 and terms.get(0) == other
         return NotImplemented
 
     def __hash__(self):
-        if self.total_degree() <= 0:  # equal to a scalar, so hash like one
-            return hash(self.constant_value())
-        return hash((self.nvars, frozenset(self.terms.items())))
+        terms = self._terms
+        if terms.keys() <= {0}:  # zero or a constant: equal to a scalar, so hash like one
+            return hash(terms.get(0, 0))
+        return hash((self.nvars, frozenset(terms.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
+
+    def _unordered(self, *args):
+        raise DomainError("a Poly has no order or absolute value")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __abs__ = _unordered
 
     # -- evaluation and display --------------------------------------------
 
@@ -331,7 +378,7 @@ class Poly:
         return "*".join(parts)
 
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         chunks = []
         for exps, coeff in self.sorted_terms():
@@ -349,6 +396,12 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.nvars}, {self.terms!r})"
+
+
+# The slots' own setters, which bypass Poly.__setattr__.
+_new = object.__new__
+_set_nvars = Poly.nvars.__set__
+_set_terms = Poly._terms.__set__
 
 
 def _check_nvars(nvars) -> None:
@@ -386,14 +439,14 @@ def _settle(terms: dict, keys=None) -> dict:
     the entries an operation touched (all of them by default).
     """
     zeros = []
-    for exps in terms if keys is None else keys:
-        c = terms[exps]
+    for key in terms if keys is None else keys:
+        c = terms[key]
         if not c:
-            zeros.append(exps)
+            zeros.append(key)
         elif type(c) is not int:
-            terms[exps] = _lower(c)
-    for exps in zeros:
-        del terms[exps]
+            terms[key] = _lower(c)
+    for key in zeros:
+        del terms[key]
     return terms
 
 

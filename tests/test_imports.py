@@ -64,6 +64,12 @@ def test_one_walker():
     assert naming == ["recurrence.py"]
 
 
+def test_one_term_layout():
+    # Poly's packed term dict is private: only kernel.py reads it, everything else goes through .terms
+    naming = [p.name for p in sorted(SRC.glob("*.py")) if "_terms" in names_read(p.read_text())]
+    assert naming == ["kernel.py"]
+
+
 def truth_tests(source: str, functions) -> list[str]:
     """Each if, while, conditional expression or comprehension filter in the named functions
     whose test reads a value's truth rather than a comparison such as ``a is b``."""

@@ -295,6 +295,18 @@ class TestPolyInput:
             ):
                 assert isinstance(got, Poly) and got.terms == want and _is_canonical(got), (k, got)
 
+    def test_no_order_or_absolute_value(self):
+        # a Poly is not ordered, not even a constant one: abs and every comparison raise DomainError
+        # on either side, never a bare TypeError
+        x, y = Poly.variables(2)
+        for p in (x * y + 1, Poly.const(3, 2), Poly.const(0, 2)):
+            for op in (
+                lambda: abs(p), lambda: p < 1, lambda: 1 < p, lambda: p <= 1, lambda: 1 <= p,
+                lambda: p > 1, lambda: p >= 1, lambda: p < x, lambda: Fraction(1, 2) >= p,
+            ):
+                with pytest.raises(DomainError):
+                    op()
+
     def test_division_by_constants_only(self):
         # / is exact_div: by a nonzero int or Fraction it is exact, and anything else is a DomainError
         x, y = Poly.variables(2)
@@ -337,6 +349,11 @@ def _ref_mul(a: dict, b: dict) -> dict:
     )
 
 
+def _model(p: Poly) -> dict:
+    """p in the dict-of-Fraction model, read through its public terms."""
+    return {e: Fraction(c) for e, c in p.terms.items()}
+
+
 def _is_canonical(p: Poly) -> bool:
     return all(
         (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator != 1)
@@ -352,14 +369,18 @@ class TestPolyCanonicalForm:
         st = pytest.importorskip("hypothesis.strategies")
         scalars = st.one_of(st.integers(-6, 6), st.fractions(min_value=-4, max_value=4, max_denominator=6))
 
+        # small exponents collide and cancel; ones up to 2**29 reach a packed field's high bits,
+        # and a cube of them stays below the 2**31 cap
+        exponents = st.one_of(st.integers(0, 3), st.integers(0, 2**29))
+
         @st.composite
         def term_lists(draw, nvars):
-            exps = st.tuples(*[st.integers(0, 3)] * nvars)
+            exps = st.tuples(*[exponents] * nvars)
             return draw(st.lists(st.tuples(exps, scalars), max_size=6))
 
         @st.composite
         def cases(draw):
-            nvars = draw(st.integers(1, 3))
+            nvars = draw(st.integers(1, 5))
             return nvars, draw(term_lists(nvars)), draw(term_lists(nvars))
 
         return st, scalars, cases()
@@ -393,7 +414,38 @@ class TestPolyCanonicalForm:
             for got, want in results:
                 assert isinstance(got, Poly) and got.nvars == nvars
                 assert _is_canonical(got)
-                assert {e: Fraction(c) for e, c in got.terms.items()} == want
+                assert _model(got) == want
+
+        check()
+
+    def test_scalar_identities_match_the_model(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st, scalars, cases = self._strategies()
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(cases, scalars)
+        def check(case, s):
+            nvars, ta, _ = case
+            a, ra = Poly(nvars, ta), _reference(ta)
+            zero, one = Poly.const(0, nvars), Poly.const(1, nvars)
+            # adding zero or multiplying by one gives a back: a Poly is immutable, so the very same one
+            assert a + 0 is a and 0 + a is a and a * 1 is a and 1 * a is a
+            for got in (a + 0, 0 + a, a * 1, 1 * a, a * one, one * a, a + zero, zero + a, a - 0, sum([a])):
+                assert isinstance(got, Poly) and got.nvars == nvars and _model(got) == ra
+            for got in (a * 0, 0 * a, a * zero, zero * a):
+                assert isinstance(got, Poly) and got.nvars == nvars and _model(got) == {}
+            # equality with a scalar reads only the constant term and the term count
+            scalar = _reference([((0,) * nvars, s)])
+            assert (a == s) == (ra == scalar) and (s == a) == (ra == scalar)
+            if a == s:
+                assert hash(a) == hash(s) == hash(Fraction(s))
+            # a constant Poly equals and hashes like its value, int or Fraction
+            c = Poly.const(s, nvars)
+            assert _model(c) == scalar
+            assert c == Fraction(s) and Fraction(s) == c and hash(c) == hash(Fraction(s))
+            assert zero == 0 and 0 == zero and hash(zero) == hash(0) and _model(zero) == {}
+            for got in (zero + 0, 0 + zero, zero * 1, zero - 0):
+                assert isinstance(got, Poly) and got.nvars == nvars and got == 0 and _model(got) == {}
 
         check()
 
@@ -416,6 +468,66 @@ class TestPolyCanonicalForm:
                 assert scalar == Poly.const(value, nvars) and hash(scalar) == hash(Poly.const(value, nvars))
 
         check()
+
+
+class TestPolyPackedLayout:
+    """Each monomial is one packed int key, one 32-bit field per variable: exponents stay below
+    2**31, so a field never carries into the next variable's."""
+
+    TOP = 2**31 - 1
+
+    def test_exponent_cap(self):
+        top = self.TOP
+        p = Poly(3, {(top, 0, 0): 1, (0, top, 0): -1, (0, 0, top): Fraction(1, 2)})
+        assert p.terms == {(top, 0, 0): 1, (0, top, 0): -1, (0, 0, top): Fraction(1, 2)}
+        assert p.total_degree() == top and str(p) == f"c1^{top} - c2^{top} + 1/2*c3^{top}"
+        assert Poly.variable(0, 1) ** top == Poly(1, {(top,): 1})
+        for bad in ((2**31, 0, 0), (0, 2**31, 0), (0, 0, 2**31), (1, 2**40, 1)):
+            with pytest.raises(DomainError):
+                Poly(3, {bad: 1})
+
+    def test_product_past_the_cap_raises(self):
+        x, y = Poly.variables(2)
+        half = x ** (2**30)
+        with pytest.raises(DomainError):
+            half * half
+        with pytest.raises(DomainError):
+            x ** (2**31)
+        with pytest.raises(DomainError):
+            (half + y) * (half - 1)  # the many-term product checks its keys too
+        assert half * x ** (2**30 - 1) == Poly(2, {(self.TOP, 0): 1})
+
+    @pytest.mark.parametrize("nvars", [2, 3])
+    def test_no_carry_into_the_neighbouring_variable(self, nvars):
+        # a term 4 below the cap in each variable, times every monomial up to degree 6 in each:
+        # a product reaching 2**31 in some variable raises, and any other matches the model,
+        # so no exponent ever turns up in the variable next to it
+        near = self.TOP - 3
+        units = [tuple(int(j == i) for j in range(nvars)) for i in range(nvars)]
+        a = Poly(nvars, [(tuple(near * u for u in unit), 1 + i) for i, unit in enumerate(units)])
+        model = _reference(a.terms.items())
+        for k in range(7):
+            for i, unit in enumerate(units):
+                shift = tuple(k * u for u in unit)
+                for other in (Poly(nvars, {shift: 3}), Poly(nvars, {shift: 3, (0,) * nvars: -1, units[0]: 1})):
+                    want = _ref_mul(model, _reference(other.terms.items()))
+                    if max(max(e) for e in want) > self.TOP:
+                        with pytest.raises(DomainError):
+                            a * other
+                    else:
+                        assert _model(a * other) == want and _model(other * a) == want
+
+    def test_terms_is_a_fresh_decoded_copy(self):
+        x, y = Poly.variables(2)
+        p = 3 * x * y**2 - 1
+        terms = p.terms
+        assert terms == {(1, 2): 3, (0, 0): -1} and terms is not p.terms
+        terms[(5, 5)] = 7
+        del terms[(0, 0)]
+        terms[(1, 2)] = 0
+        assert p.terms == {(1, 2): 3, (0, 0): -1} and p == 3 * x * y**2 - 1
+        with pytest.raises(AttributeError):
+            p.terms = terms
 
 
 def test_library_ring_operations_never_revalidate(monkeypatch):
