@@ -9,8 +9,8 @@ here is computed by the standard recurrence
 with B_{0,0} = 1 and B_{n,0} = B_{0,k} = 0 otherwise; no closed forms are
 trusted without the brute-force set-partition check in this module.  The
 table skips zero arguments, so an entry no nonzero term reaches stays an int
-0 in any domain.  The paper's two Bell expansions (gamma's and the trace
-terms') are each one exact weighted row sum, :func:`_bell_row_sum`.
+0 in any domain.  The paper's Bell expansion of the trace terms is one exact
+weighted row sum, :func:`_bell_row_sum`; its gamma expansion is a test witness.
 """
 
 from __future__ import annotations

@@ -6,22 +6,22 @@ order-d recurrence of its own.  Its coefficients g_1..g_d are, up to sign,
 the elementary symmetric functions of the m-th powers of the characteristic
 roots; they are computed here without roots, from the trace sequence alone:
 
-    g_k = sum_{j=1..k} ((-1)^{j+1} / k!) * B_{k,j}(0!*hat_m, 1!*hat_{2m}, ...)
+    g_k = sum_{j=1..k} ((-1)^{j+1} / k!) * B_{k,j}(0!*p_1, 1!*p_2, ...),  p_i = hat_{im}
 
 with the trailing coefficient available directly as
-g_d = (-1)^{(d+1)(m+1)} * c_d^m.  Each g_k is one exact Bell row sum
-(:func:`linrec.bell._bell_row_sum`, weights +-1, divisor k!): all
-intermediate rationals cancel, and results are lowered back to integers (or
+g_d = (-1)^{(d+1)(m+1)} * c_d^m.  The row sum is -Y_k(-x)/k! for the complete
+Bell polynomial Y_k, whose recurrence here is Newton's identity
+k*g_k = p_k - sum_{i<k} g_i*p_{k-i}: d^2/2 products against the table's d^3/6.
+The division by k is exact, and results are lowered back to integers (or
 integer-coefficient polynomials) with an assertion, never by rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
+from operator import mul
 
-from .bell import _bell_row_sum, bell_table
-from .kernel import DomainError, _check_index
+from .kernel import DomainError, _check_index, exact_div, lower_like, ring_const
 from .lucas import _trace_head
 from .oracle import UNDERDETERMINED, NoSolution, char_poly_of_power, fit_recurrence, verify_recurrence
 from .recurrence import CoeffVector, RecurrenceSpec, _stride_heads, _stride_terms, as_coeff_vector
@@ -50,9 +50,9 @@ def gamma_coefficients(coeffs, m: int, *, cross_check: bool = False) -> GammaVec
     """Coefficients of the order-d recurrence satisfied by every a_{mn+r}.
 
     Only trace terms hat_m..hat_{(d-1)m} are needed: the trailing coefficient
-    comes from the closed sign formula instead of the k = d Bell sum.  With
-    cross_check=True that Bell sum is evaluated anyway (it needs hat_{dm})
-    and asserted equal.  The trace sequence obeys the recurrence itself, so
+    comes from the closed sign formula instead of the k = d Newton step.  With
+    cross_check=True that step is taken anyway (it needs hat_{dm}) and
+    asserted equal.  The trace sequence obeys the recurrence itself, so
     those terms are jumped to from its Newton head hat_0..hat_{d-1}.
     """
     cv = as_coeff_vector(coeffs)
@@ -63,19 +63,17 @@ def gamma_coefficients(coeffs, m: int, *, cross_check: bool = False) -> GammaVec
 
 def _gamma_from_hats(cv: CoeffVector, m: int, hats: list) -> GammaVector:
     """Gamma from hat_m, hat_{2m}, ...: d - 1 of them, or d to cross-check the trailing coefficient."""
-    d = cv.d
-    x = tuple(math.factorial(i) * hat for i, hat in enumerate(hats))
-    table = bell_table(len(hats), x)
-    signs = (1, -1) * d  # (-1)^{j+1} for j = 1, 2, ...
-    gamma = [_bell_row_sum(table[k], signs, math.factorial(k), cv.c) for k in range(1, d)]
-    sign = (-1) ** ((d + 1) * (m + 1))
-    last = sign * cv.c[-1] ** m
-    if len(hats) == d:
-        from_bell = _bell_row_sum(table[d], signs, math.factorial(d), cv.c)
-        if from_bell != last:
-            raise ArithmeticError(
-                f"trailing coefficient mismatch: Bell sum {from_bell}, sign formula {last}"
-            )
+    c = cv.c
+    zero = ring_const(0, c)  # trace terms of mixed int/Fraction data can be ints, which divide as ints
+    gamma = []
+    for k, p in enumerate(hats, 1):
+        total = sum(map(mul, gamma, reversed(hats[: k - 1])), zero)
+        gamma.append(lower_like(exact_div(p - total, k), c))
+    last = (-1) ** ((cv.d + 1) * (m + 1)) * c[-1] ** m
+    if len(hats) == cv.d:
+        newton = gamma.pop()
+        if newton != last:
+            raise ArithmeticError(f"trailing coefficient mismatch: Newton step {newton}, sign formula {last}")
     gamma.append(last)
     return GammaVector(m=m, coeffs=CoeffVector(tuple(gamma)))
 
@@ -101,8 +99,8 @@ def subseq_recurrence(spec: RecurrenceSpec, m: int, r: int) -> RecurrenceSpec:
 class SliceReport:
     """How the slice b_n = a_{mn+r} fared against gamma, checked four ways.
 
-    gamma is the Bell route, already cross-checked against the trailing sign
-    formula; charpoly_agree says whether det(tI - C^m) gives the same
+    gamma is the Newton route over trace terms, already cross-checked against
+    the trailing sign formula; charpoly_agree says whether det(tI - C^m) gives the same
     coefficients; violations lists the slice indices where gamma fails on
     the first depth slice terms; fit is the re-fit of those terms:
     "agree", "mismatch", "underdetermined" (a lower-order recurrence fits)
@@ -135,7 +133,7 @@ def _fit_state(terms: list, d: int, coeffs: CoeffVector) -> str:
 
 
 def verify_slice(spec: RecurrenceSpec, m: int, r: int = 0, depth: int = 40) -> SliceReport:
-    """Check the slice recurrence of a_{mn+r} by the Bell route, det(tI - C^m),
+    """Check the slice recurrence of a_{mn+r} by the Newton route, det(tI - C^m),
     a direct check of the first depth slice terms and a re-fit of them.
 
     depth runs 1..10000.  The direct check covers slice indices d..depth-1,

@@ -64,6 +64,11 @@ def test_one_walker():
     assert naming == ["recurrence.py"]
 
 
+def test_gamma_off_the_bell_table():
+    # gamma takes Newton's step over trace terms; the Bell table is its witness in the tests, not its route
+    assert not {"bell_table", "_bell_row_sum"} & names_read((SRC / "progression.py").read_text())
+
+
 def test_one_term_layout():
     # Poly's packed term dict is private: only kernel.py reads it, everything else goes through .terms
     naming = [p.name for p in sorted(SRC.glob("*.py")) if "_terms" in names_read(p.read_text())]

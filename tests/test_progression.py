@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from linrec import CoeffVector, DomainError, Poly, RecurrenceSpec
+from linrec.bell import _bell_row_sum, bell_table
 from linrec.kernel import value_to_json
 from linrec.lucas import k_lucas_number, lucas_transform, lucas_transform_bell_prefix
 from linrec import progression
@@ -121,7 +123,7 @@ class TestGammaRoutes:
             assert full.gamma == fast.gamma
 
     def test_cross_check_bites(self, monkeypatch):
-        # hat_dm off by d moves only the k = d Bell sum, by 1, and only the cross-check evaluates it
+        # hat_dm off by d moves only the k = d Newton step, by 1, and only the cross-check takes it
         real = progression._stride_terms
 
         def last_hat_off(c, head, m, r, count):
@@ -132,6 +134,80 @@ class TestGammaRoutes:
         assert gamma_coefficients((1, 1, 1), 5).gamma == char_poly_of_power((1, 1, 1), 5).c
         with pytest.raises(ArithmeticError, match="trailing coefficient mismatch"):
             gamma_coefficients((1, 1, 1), 5, cross_check=True)
+
+
+def bell_gamma(c, m):
+    """Gamma by the paper's signed partial-Bell row sums, and the k = d row sum.
+
+    g_k = sum_j (-1)^(j+1) B_(k,j)(0!*p_1, 1!*p_2, ...) / k! with p_i = hat_(im) for k < d, then
+    the sign formula (-1)^((d+1)(m+1)) * c_d^m, whose value the k = d row sum must match.
+    """
+    d = len(c)
+    hats = lucas_transform(c, d * m).terms
+    table = bell_table(d, tuple(math.factorial(i - 1) * hats[i * m] for i in range(1, d + 1)))
+    rows = [_bell_row_sum(table[k], (1, -1) * d, math.factorial(k), c) for k in range(1, d + 1)]
+    return (*rows[:-1], (-1) ** ((d + 1) * (m + 1)) * c[-1] ** m), rows[-1]
+
+
+def gamma_specs(st):
+    """c_1..c_d for d = 1..7: int, Fraction, mixed, Poly.variables(d), or those with one zero Poly."""
+    ints, fractions = st.integers(-4, 4), st.fractions(-3, 3, max_denominator=5)
+
+    def scalar(entries):
+        return st.integers(1, 7).flatmap(
+            lambda d: st.tuples(*[entries] * (d - 1), entries.filter(lambda v: v != 0))
+        )
+
+    def zeroed(d, i):
+        xs = Poly.variables(d)
+        return (*xs[:i], Poly.const(0, d), *xs[i + 1 :])
+
+    return st.one_of(
+        scalar(ints),
+        scalar(fractions),
+        scalar(st.one_of(ints, fractions)),
+        st.integers(1, 7).map(lambda d: tuple(Poly.variables(d))),
+        st.integers(2, 7).flatmap(lambda d: st.integers(0, d - 2).map(lambda i: zeroed(d, i))),
+    )
+
+
+class TestGammaWitnesses:
+    def test_newton_step_matches_bell_row_sums(self):
+        # gamma equals the paper's Bell row sums in value, type and repr, on every route that builds it
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        # mixed data whose trace terms are int-typed: a sum started at int 0 would give 10, not Fraction(10, 1)
+        @hypothesis.example(c=(2, 3, Fraction(1), -1, Fraction(-3, 2)), m=2)
+        @hypothesis.given(c=gamma_specs(st), m=st.integers(1, 40))
+        def check(c, m):
+            if isinstance(c[0], Poly):  # Poly trace terms grow fast with the weight d*m
+                m = 1 + (m - 1) % max(1, 18 // len(c))
+            want, row_d = bell_gamma(c, m)
+            assert row_d == want[-1]
+            spec = RecurrenceSpec(CoeffVector(c), tuple(range(1, len(c) + 1)))
+            routes = [gamma_coefficients(c, m).gamma, gamma_coefficients(c, m, cross_check=True).gamma]
+            for got in routes + [subseq_recurrence(spec, m, 1).coeffs.c]:
+                assert got == want
+                assert [type(v) for v in got] == [type(v) for v in want]
+                assert repr(got) == repr(want)
+
+        check()
+
+    def test_resultant(self):
+        # Res_y(q(y), x - y^m), made monic, is prod (x - root^m) = x^d - g_1*x^(d-1) - ... - g_d
+        sympy = pytest.importorskip("sympy")
+        x, y = sympy.symbols("x y")
+        rng = random.Random(45)
+        for _ in range(12):
+            c = random_spec(rng, max_d=4).coeffs.c
+            d = len(c)
+            q = y**d - sum(ci * y ** (d - i) for i, ci in enumerate(c, 1))
+            for m in range(1, 7):
+                res = sympy.Poly(sympy.resultant(q, x - y**m, y), x)
+                g = gamma_coefficients(c, m).gamma
+                assert res.monic().all_coeffs() == [1, *(-gi for gi in g)]
 
 
 class TestSubsequence:
