@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 import math
-from operator import mul
 
-from .kernel import _check_exact, _check_index, exact_div, lower_like, ring_const
+from .kernel import _check_exact, _check_index, dot, exact_div, lower_like, ring_const
 
 
 class SizeLimit(ValueError):
@@ -64,7 +63,7 @@ def _bell_row_sum(row: list, weights, divisor: int, like):
     int-typed over Fraction data and an int total would divide as an int;
     lower_like then insists that integer data gave an integer result.
     """
-    total = sum(map(mul, weights, row[1:]), ring_const(0, like))
+    total = dot(weights, row[1:], ring_const(0, like))
     return lower_like(exact_div(total, divisor), like)
 
 

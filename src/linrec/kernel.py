@@ -17,6 +17,14 @@ order: ``abs``, ``<``, ``<=``, ``>`` and ``>=`` raise DomainError.  A Poly
 packs each monomial into one int key, caps every exponent at 2**31 - 1, and
 hands out its terms only as a decoded copy (:attr:`Poly.terms`).  No floating
 point is used anywhere.
+
+Every sum of products in the package, a walk step, a Newton step, a matrix
+entry, is :func:`dot`: ``dot(xs, ys, start)`` equals ``sum(map(mul, xs, ys),
+start)`` in value, in type and, for a Poly, in term order, so even its repr
+is the same.  Int and Fraction data take that C-level sum itself.  Where a
+Poly takes part, every product is added straight into one owned term dict and
+one Poly is made at the end; ``Poly * Poly`` is the one-pair case of the same
+product loop.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, reduce
 import math
-from operator import or_
+from operator import mul, or_
 
 
 class DivisionNotExact(ArithmeticError):
@@ -274,34 +282,22 @@ class Poly:
     def __rsub__(self, other):
         return -self + other
 
+    def _factor(self, other) -> dict:
+        """other's term dict as a factor of a product with self; DomainError for anything outside the ring."""
+        if isinstance(other, Poly):
+            if other.nvars != self.nvars:
+                raise DomainError("mixing polynomials over different variable sets")
+            return other._terms
+        c = other if type(other) is int else _coefficient(other)
+        return {0: c} if c else {}
+
     def __mul__(self, other):
-        if not isinstance(other, Poly):
-            c = _coefficient(other)
-            if c == 1:
-                return self
-            if not c:
-                return Poly._make(self.nvars, {})
-            return Poly._make(self.nvars, _settle({key: k * c for key, k in self._terms.items()}))
-        other = self._coerce(other)
-        big, small = (self, other) if len(self._terms) >= len(other._terms) else (other, self)
-        if len(small._terms) <= 1:  # zero or one term: no two products share a key
-            if not small._terms:
-                return small
-            ((k0, c0),) = small._terms.items()
-            if not k0 and c0 == 1:
-                return big
-            terms = {key + k0: c * c0 for key, c in big._terms.items()}
-        else:
-            terms = {}
-            get = terms.get
-            right = list(other._terms.items())
-            for k1, c1 in self._terms.items():
-                for k2, c2 in right:
-                    key = k1 + k2
-                    terms[key] = get(key, 0) + c1 * c2
-        if reduce(or_, terms, 0) & _guard(self.nvars):
-            raise DomainError("a product exponent exceeds 2**31 - 1")
-        return Poly._make(self.nvars, _settle(terms))
+        right = self._factor(other)
+        if right == _ONE:
+            return self
+        if self._terms == _ONE and isinstance(other, Poly):
+            return other
+        return Poly._make(self.nvars, _accumulate({}, self._terms, right, _guard(self.nvars)))
 
     __rmul__ = __mul__
 
@@ -435,8 +431,10 @@ def _settle(terms: dict, keys=None) -> dict:
     """Put a fresh term dict in canonical form, in place, and return it.
 
     Zeros are dropped and whole Fractions lowered to int; this is the one
-    place the rule is applied to stored terms.  ``keys`` limits the pass to
-    the entries an operation touched (all of them by default).
+    place the rule is applied to stored terms, apart from the one-term loop
+    of :func:`_accumulate`, which applies it to each key as it lands.
+    ``keys`` limits the pass to the entries an operation touched (all of
+    them by default).
     """
     zeros = []
     for key in terms if keys is None else keys:
@@ -448,6 +446,121 @@ def _settle(terms: dict, keys=None) -> dict:
     for key in zeros:
         del terms[key]
     return terms
+
+
+#: The term dict of the constant 1.
+_ONE = {0: 1}
+
+
+def _accumulate(terms: dict, a: dict, b: dict, guard: int) -> dict:
+    """terms plus the product of the term dicts a and b, settled: terms itself, or a new dict if it was empty.
+
+    The one product loop: :meth:`Poly.__mul__` runs it on an empty dict and
+    :func:`dot` on its running sum.  Keys are added in the order a*b builds
+    them, a outer and b inner, or the longer side in order when the other
+    has one term.  A key is dropped or lowered only once no later pair of
+    the product can reach it, so the dict holds its keys in the order the
+    product added to terms by ``+`` would.  Every key the product generates
+    passes the exponent-cap check against guard, the :func:`_guard` of the
+    number of variables, a key that cancels too.
+    """
+    big, small = (a, b) if len(a) >= len(b) else (b, a)
+    if len(small) <= 1:  # no two of its products share a key, so each settles as it lands
+        if not small:
+            return terms
+        ((k0, c0),) = small.items()
+        # each field of a key is at most that field of the OR of its side's keys, so a clear bound clears them all
+        if k0 and (reduce(or_, big, 0) + k0) & guard and reduce(or_, map(k0.__add__, big), 0) & guard:
+            raise DomainError("a product exponent exceeds 2**31 - 1")
+        if not terms:
+            if c0 == 1:  # big's coefficients as they are: no product, nothing to settle
+                return {key + k0: c for key, c in big.items()} if k0 else dict(big)
+            return _settle({key + k0: c * c0 for key, c in big.items()})
+        get = terms.get
+        for key, c in big.items():
+            key += k0
+            c = get(key, 0) + c * c0
+            if type(c) is not int:
+                c = _lower(c)
+            if c:
+                terms[key] = c
+            else:
+                del terms[key]
+        return terms
+    if (reduce(or_, a, 0) + reduce(or_, b, 0)) & guard and reduce(or_, (k + j for k in a for j in b), 0) & guard:
+        raise DomainError("a product exponent exceeds 2**31 - 1")
+    get = terms.get
+    right = list(b.items())
+    for k1, c1 in a.items():
+        for k2, c2 in right:
+            key = k1 + k2
+            terms[key] = get(key, 0) + c1 * c2
+    return _settle(terms)
+
+
+def _add_scalar(terms: dict, value) -> None:
+    """Add an exact scalar into a term dict's constant, as ``Poly + value`` does; DomainError for any other value."""
+    if type(value) is int and not value:
+        return
+    c = _coefficient(value)
+    if c:
+        terms[0] = terms.get(0, 0) + c
+        _settle(terms, (0,))
+
+
+def dot(xs, ys, start=0):
+    """The sum of products start + xs[0]*ys[0] + xs[1]*ys[1] + ..., over the shorter of xs and ys.
+
+    It equals ``sum(map(mul, xs, ys), start)`` in value and type, and for a
+    Poly also in term order, so its repr is the same.  Int and Fraction data
+    take that C-level sum itself.  Where a Poly takes part the sum is fused:
+    every product is added straight into one owned term dict, and one Poly
+    is made at the end, with no Poly per product or per partial sum.  A
+    scalar running total joins after the first Poly product, as ``int +
+    Poly`` does.  A float, str, bool or None that meets a Poly, or Polys over
+    different variable sets, raise DomainError, and so does a product
+    exponent past the cap.
+    """
+    return _dot_for(Poly in map(type, (start, *xs, *ys)))(xs, ys, start)
+
+
+def _dot_for(poly: bool):
+    """:func:`dot` with its route decided once by a caller that knows whether a Poly takes part."""
+    return _poly_dot if poly else _scalar_dot
+
+
+def _scalar_dot(xs, ys, start=0):
+    """:func:`dot` on the C-level route."""
+    return sum(map(mul, xs, ys), start)
+
+
+def _poly_dot(xs, ys, start=0):
+    """:func:`dot` on the fused route; exact on any data, and the fast route where a Poly takes part."""
+    terms = None  # the running sum's term dict, from the first Poly product on
+    total = start  # the running sum while it is a scalar
+    if isinstance(start, Poly):
+        nvars, guard, terms = start.nvars, _guard(start.nvars), dict(start._terms)
+    for x, y in zip(xs, ys):
+        if isinstance(x, Poly):
+            p, other = x, y
+        elif isinstance(y, Poly):  # scalar * Poly is Poly.__rmul__, which runs over y's terms
+            p, other = y, x
+        elif terms is None:
+            total = total + x * y
+            continue
+        else:
+            _add_scalar(terms, x * y)
+            continue
+        factor = p._factor(other)
+        if terms is None:
+            nvars, guard = p.nvars, _guard(p.nvars)
+            terms = _accumulate({}, p._terms, factor, guard)
+            _add_scalar(terms, total)
+        elif p.nvars != nvars:
+            raise DomainError("mixing polynomials over different variable sets")
+        else:
+            terms = _accumulate(terms, p._terms, factor, guard)
+    return total if terms is None else Poly._make(nvars, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from fractions import Fraction
 import math
 
 from .bell import _bell_row_sum, bell_table
-from .kernel import _check_exact, _check_index, as_integer, lower_like, ring_const
+from .kernel import Poly, _check_exact, _check_index, _dot_for, as_integer, lower_like, ring_const
 from .recurrence import CoeffVector, _stride_terms, as_coeff_vector
 
 
@@ -32,8 +32,9 @@ def _trace_head(c: tuple) -> tuple:
     From hat_d on, Newton's identity is the recurrence itself, because hat_0 = d.
     """
     terms = [ring_const(len(c), c)]
+    dot = _dot_for(isinstance(terms[0], Poly))
     for n in range(1, len(c)):
-        terms.append(sum(c[j - 1] * terms[n - j] for j in range(1, n)) + n * c[n - 1])
+        terms.append(dot(c[:n], [*terms[:0:-1], n]))
     return tuple(terms)
 
 

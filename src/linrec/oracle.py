@@ -16,10 +16,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 import math
 from operator import mul
 
-from .kernel import DomainError, Poly, _check_exact, _check_index, _clear_denominators, _lower
+from .kernel import DomainError, Poly, _check_exact, _check_index, _clear_denominators, _dot_for, _lower
 from .recurrence import CoeffVector, as_coeff_vector
 
 
@@ -58,10 +59,6 @@ def companion(coeffs) -> list[list]:
     return mat
 
 
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
 def _check_rows(mat, what: str, square: bool = False) -> int:
     """len(mat), after rejecting anything but a sequence of row sequences of exact entries, every row as
     long as the first (as long as the matrix is tall, if square)."""
@@ -85,7 +82,8 @@ def mat_mul(a: list[list], b: list[list]) -> list[list]:
 def _mat_mul(a: list[list], b: list[list]) -> list[list]:
     """a*b of matrices already checked to compose."""
     cols = list(zip(*b))
-    return [[_dot(row, col) for col in cols] for row in a]
+    dot = _dot_for(Poly in map(type, chain(*a, *cols)))
+    return [[dot(row, col) for col in cols] for row in a]
 
 
 def mat_pow(mat: list[list], exponent: int) -> list[list]:
@@ -142,6 +140,7 @@ def char_poly(mat: list[list]) -> CharPoly:
     row R, border column C and previous block S.
     """
     n = _check_rows(mat, "char_poly needs a square matrix", square=True)
+    dot = _dot_for(Poly in map(type, chain(*mat)))
     desc = [1]  # degree-descending coefficients, 0x0 block
     for r in range(1, n + 1):
         row = mat[r - 1][: r - 1]
@@ -149,15 +148,10 @@ def char_poly(mat: list[list]) -> CharPoly:
         toeplitz = [1, -mat[r - 1][r - 1]]
         v = col
         for _ in range(r - 1):
-            toeplitz.append(-_dot(row, v))
-            v = [_dot(mat[i][: r - 1], v) for i in range(r - 1)]
-        new = []
-        for i in range(r + 1):
-            acc = 0
-            for j in range(max(0, i - r), min(i, r - 1) + 1):
-                acc = acc + toeplitz[i - j] * desc[j]
-            new.append(acc)
-        desc = new
+            toeplitz.append(-dot(row, v))
+            v = [dot(mat[i][: r - 1], v) for i in range(r - 1)]
+        # the Toeplitz product: new[i] = sum_j toeplitz[i - j] * desc[j] over 0 <= j <= min(i, r - 1)
+        desc = [dot(toeplitz[i::-1], desc) for i in range(r + 1)]
     return CharPoly(tuple(reversed(desc)))
 
 
@@ -179,10 +173,10 @@ def verify_recurrence(terms, coeffs) -> list[int]:
     cv = as_coeff_vector(coeffs)
     terms = _check_exact(terms, "terms")
     d = cv.d
+    dot = _dot_for(Poly in map(type, cv.c + terms))
     bad = []
     for n in range(d, len(terms)):
-        predicted = sum(ck * terms[n - k] for ck, k in zip(cv.c, range(1, d + 1)))
-        if terms[n] != predicted:
+        if terms[n] != dot(cv.c, terms[n - d : n][::-1]):
             bad.append(n)
     return bad
 

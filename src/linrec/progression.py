@@ -19,9 +19,8 @@ integer-coefficient polynomials) with an assertion, never by rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
-from .kernel import DomainError, _check_index, exact_div, lower_like, ring_const
+from .kernel import DomainError, Poly, _check_index, _dot_for, exact_div, lower_like, ring_const
 from .lucas import _trace_head
 from .oracle import UNDERDETERMINED, NoSolution, char_poly_of_power, fit_recurrence, verify_recurrence
 from .recurrence import CoeffVector, RecurrenceSpec, _stride_heads, _stride_terms, as_coeff_vector
@@ -62,12 +61,18 @@ def gamma_coefficients(coeffs, m: int, *, cross_check: bool = False) -> GammaVec
 
 
 def _gamma_from_hats(cv: CoeffVector, m: int, hats: list) -> GammaVector:
-    """Gamma from hat_m, hat_{2m}, ...: d - 1 of them, or d to cross-check the trailing coefficient."""
+    """Gamma from hat_m, hat_{2m}, ...: d - 1 of them, or d to cross-check the trailing coefficient.
+
+    Each Newton step's sum g_1*p_(k-1) + ... + g_(k-1)*p_1 is one kernel dot
+    from the ring zero: over Poly data one fused term dict and one Poly,
+    over int and Fraction data the C-level sum, decided once per call.
+    """
     c = cv.c
     zero = ring_const(0, c)  # trace terms of mixed int/Fraction data can be ints, which divide as ints
+    dot = _dot_for(isinstance(zero, Poly))
     gamma = []
     for k, p in enumerate(hats, 1):
-        total = sum(map(mul, gamma, reversed(hats[: k - 1])), zero)
+        total = dot(gamma, hats[: k - 1][::-1], zero)
         gamma.append(lower_like(exact_div(p - total, k), c))
     last = (-1) ** ((cv.d + 1) * (m + 1)) * c[-1] ** m
     if len(hats) == cv.d:

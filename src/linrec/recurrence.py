@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import mul
 
-from .kernel import Poly, _check_exact, _check_index, _clear_denominators
+from .kernel import Poly, _check_exact, _check_index, _clear_denominators, _dot_for, _poly_dot
 
 
 class InvalidCoeffs(ValueError):
@@ -91,12 +91,24 @@ class RecurrenceSpec:
         return self.coeffs.d
 
 
-def _extend(c: tuple, terms: list, upto: int) -> list:
-    """Grow a list holding at least len(c) terms in place by the recurrence c to index upto."""
+def _extend(c: tuple, terms: list, upto: int, poly: bool = False) -> list:
+    """Grow a list holding at least len(c) terms in place by the recurrence c to index upto.
+
+    Each step is the sum of products c_1*a_(n-1) + ... + c_d*a_(n-d).  With
+    poly False that is the C-level ``sum(map(mul, ...))``, the chained sum on
+    any data; with poly True, which the engine passes where a Poly takes
+    part, it is the kernel's fused dot: one term dict and one Poly a step,
+    with the value, type and term order of the chained sum.  The route is
+    decided once per call, never per step.
+    """
     d = len(c)
     rc = c[::-1]
-    while len(terms) <= upto:
-        terms.append(sum(map(mul, rc, terms[-d:])))
+    if poly:
+        while len(terms) <= upto:
+            terms.append(_poly_dot(rc, terms[-d:]))
+    else:  # the C-level sum written out: a call a step costs a short int walk about a tenth
+        while len(terms) <= upto:
+            terms.append(sum(map(mul, rc, terms[-d:])))
     return terms
 
 
@@ -174,11 +186,12 @@ def _jump_from(d: int) -> int:
     return 8 * d + 24
 
 
-def _shifted(c: tuple, residue: list, head, s: int, count: int) -> list:
+def _shifted(c: tuple, residue: list, head, s: int, count: int, poly: bool) -> list:
     """t_{n+s}..t_{n+s+count-1} from residue = x^n mod q, applied to head walked forward by s..s+count-1."""
     d = len(c)
-    a = _extend(c, list(head), s + count + d - 2)
-    return [sum(map(mul, residue, a[j : j + d])) for j in range(s, s + count)]
+    a = _extend(c, list(head), s + count + d - 2, poly)
+    apply = _dot_for(poly)
+    return [apply(residue, a[j : j + d]) for j in range(s, s + count)]
 
 
 def _stride_heads(c: tuple, heads, m: int, r: int, count: int) -> list:
@@ -222,9 +235,11 @@ def _stride_heads(c: tuple, heads, m: int, r: int, count: int) -> list:
     last = r + (count - 1) * m
     reach = r + min(count, len(c)) - 1 if m == 1 else last  # the last index a jump would reach
     strided = m > 1 and count > 1
-    walk_below = _JUMP_CUTOFF if strided or Poly in kinds else _jump_from(len(c))
+    poly = Poly in kinds  # the sums of products take the fused dot, decided here once
+    walk_below = _JUMP_CUTOFF if strided or poly else _jump_from(len(c))
     if reach < walk_below or r < len(c) and not strided:
-        return [_extend(c, list(head[: last + 1]), last)[r : last + 1 : m] for head in heads]
+        return [_extend(c, list(head[: last + 1]), last, poly)[r : last + 1 : m] for head in heads]
+    apply = _dot_for(poly)
     if count == 1:
         # half jump: half = x^h mod q applied to the head shifted by j gives a_{h+j},
         # so with s = r - 2h the window a_{h+s}..a_{h+s+d-1} costs products by small
@@ -232,10 +247,10 @@ def _stride_heads(c: tuple, heads, m: int, r: int, count: int) -> list:
         # where squaring half would take d(d+1)/2
         h = r // 2
         half = _xpow(c, h)
-        return [[sum(map(mul, half, _shifted(c, half, head, r - 2 * h, len(c))))] for head in heads]
+        return [[apply(half, _shifted(c, half, head, r - 2 * h, len(c), poly))] for head in heads]
     if m == 1:
         residue = _xpow(c, r)
-        return [_extend(c, _shifted(c, residue, head, 0, min(count, len(c))), count - 1) for head in heads]
+        return [_extend(c, _shifted(c, residue, head, 0, min(count, len(c)), poly), count - 1, poly) for head in heads]
     step = _xpow(c, m)
     residue = step if r == m else _xpow(c, r)
     out = [[] for _ in heads]
@@ -244,7 +259,7 @@ def _stride_heads(c: tuple, heads, m: int, r: int, count: int) -> list:
             residue = _mulmod(residue, step, c)
         i = r + k * m
         for terms, head in zip(out, heads):
-            terms.append(head[i] if i < len(head) else sum(map(mul, residue, head)))
+            terms.append(head[i] if i < len(head) else apply(residue, head))
     return out
 
 

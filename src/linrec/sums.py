@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import DomainError, Poly, _check_exact, _check_index, exact_div, ring_const
+from .kernel import DomainError, Poly, _check_exact, _check_index, dot, exact_div, ring_const
 from .progression import subseq_recurrence
 from .recurrence import (
     _JUMP_CUTOFF,
@@ -74,7 +74,7 @@ class SumClosedForm:
         lookahead = _check_exact(lookahead, "look-ahead terms")
         if len(lookahead) != len(self.weights):
             raise DomainError(f"expected {len(self.weights)} look-ahead terms")
-        numerator = sum(w * t for w, t in zip(self.weights, lookahead)) + self.constant
+        numerator = dot(self.weights, lookahead) + self.constant
         return exact_div(numerator, self.divisor)
 
 
@@ -86,12 +86,19 @@ def _divisor(c: tuple):
     return divisor
 
 
+def _check_divisor(c: tuple) -> None:
+    """Check q(1) for a closed sum to divide by: DegenerateDivisor when it is zero, DomainError when a polynomial."""
+    divisor = _divisor(c)
+    if isinstance(divisor, Poly) and divisor.total_degree() > 0:
+        raise DomainError(f"the closed sum divides by q(1) = {divisor}, a polynomial")
+
+
 def partial_sum_form(spec: RecurrenceSpec) -> SumClosedForm:
     """Build the closed form for a spec; DegenerateDivisor when q(1) = 0."""
     c = spec.coeffs.c
     divisor = _divisor(c)
     weights = _weights(c)
-    constant = -sum(w * a for w, a in zip(weights, spec.initial))
+    constant = -dot(weights, spec.initial)
     return SumClosedForm(divisor=divisor, weights=tuple(weights), constant=constant)
 
 
@@ -110,9 +117,7 @@ def partial_sum_closed(spec: RecurrenceSpec, n: int):
     spec's int head terms would come back as an int.
     """
     _check_index(n, "n")
-    divisor = _divisor(spec.coeffs.c)
-    if isinstance(divisor, Poly) and divisor.total_degree() > 0:
-        raise DomainError(f"the closed sum divides by q(1) = {divisor}, a polynomial")
+    _check_divisor(spec.coeffs.c)
     d = spec.order
     if n + d < _jump_from(d) and set(map(type, spec.coeffs.c + spec.initial)) == {int}:
         return sum(seq_range(spec, 0, n))
@@ -120,7 +125,7 @@ def partial_sum_closed(spec: RecurrenceSpec, n: int):
     if n + d < _JUMP_CUTOFF:
         return form.evaluate(seq_range(spec, n + 1, n + d))
     a = seq_window(spec, 0, 2 * d - 1)
-    head = tuple(sum(w * t for w, t in zip(form.weights, a[k : k + d])) for k in range(d))
+    head = tuple(dot(form.weights, a[k : k + d]) for k in range(d))
     weighted = RecurrenceSpec(spec.coeffs, head)  # a'_k = sum_j w_j a_{k+j}
     return exact_div(seq_eval(weighted, n + 1) + form.constant, form.divisor)
 
@@ -163,7 +168,7 @@ def invert_partial_sum(coeffs, n: int) -> InvertSumCheck:
     q_at_one = 1 - sum(c)
     partial = sum(y[: n + 1])
     weights = _weights(c)
-    rhs = 1 + sum(w * y[n + j + 1] for j, w in enumerate(weights))
+    rhs = 1 + dot(weights, y[n + 1 :])
     return InvertSumCheck(q_at_one=q_at_one, partial_sum=partial, lhs=q_at_one * partial, rhs=rhs)
 
 
@@ -178,7 +183,7 @@ def lambda_decompose(spec: RecurrenceSpec) -> tuple:
     a = spec.initial
     lams = [a[0]]
     for n in range(1, len(c)):
-        lams.append(a[n] - sum(c[j - 1] * a[n - j] for j in range(1, n + 1)))
+        lams.append(a[n] - dot(c[:n], a[n - 1 :: -1]))
     return tuple(lams)
 
 
@@ -190,6 +195,15 @@ def progression_sum(spec: RecurrenceSpec, m: int, r: int, n: int):
     walked terms, else the form is applied to a jumped window, or from
     n + d >= 256 on to one half jump.  Raises DegenerateDivisor when the
     subsequence divisor vanishes, which can happen even though the base
-    divisor does not.
+    divisor does not.  The base divisor is checked first, before the slice
+    recurrence is built: with Q(t) = 1 - c_1 t - ... - c_d t^d the slice's
+    divisor is Q(1) Q(w) ... Q(w^(m-1)) for w a primitive m-th root of
+    unity, so a zero Q(1) makes it zero (DegenerateDivisor).  A polynomial
+    Q(1) raises DomainError, as in :func:`partial_sum_closed`, even where
+    some Q(w^j) vanishes and the slice's divisor is zero.
     """
+    _check_index(m, "m", 1)
+    _check_index(r, "r")
+    _check_index(n, "n")
+    _check_divisor(spec.coeffs.c)
     return partial_sum_closed(subseq_recurrence(spec, m, r), n)

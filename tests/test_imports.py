@@ -69,6 +69,18 @@ def test_gamma_off_the_bell_table():
     assert not {"bell_table", "_bell_row_sum"} & names_read((SRC / "progression.py").read_text())
 
 
+def test_one_dot_product():
+    # every sum of products runs through the kernel's dot: no other module defines one, and oracle's _dot stays gone
+    defining = {
+        p.name
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.FunctionDef) and "dot" in node.name.lower()
+    }
+    assert defining == {"kernel.py"}
+    assert "_dot" not in names_read((SRC / "oracle.py").read_text())
+
+
 def test_one_term_layout():
     # Poly's packed term dict is private: only kernel.py reads it, everything else goes through .terms
     naming = [p.name for p in sorted(SRC.glob("*.py")) if "_terms" in names_read(p.read_text())]

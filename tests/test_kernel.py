@@ -1,12 +1,15 @@
 import json
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from linrec import DivisionNotExact, DomainError, Poly
 from linrec.kernel import (
+    _poly_dot,
     as_integer,
+    dot,
     exact_div,
     lower_like,
     ring_const,
@@ -555,3 +558,108 @@ def test_library_ring_operations_never_revalidate(monkeypatch):
     with pytest.raises(AssertionError):
         Poly(1, {(1,): 1})
     assert calls() == want
+
+
+class TestDot:
+    """dot(xs, ys, start) is sum(map(mul, xs, ys), start), fused over Poly data: same value, type and repr."""
+
+    @staticmethod
+    def _cases():
+        st = pytest.importorskip("hypothesis.strategies")
+        scalars = st.one_of(st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=3))
+
+        @st.composite
+        def cases(draw):
+            nvars = draw(st.integers(1, 3))
+            # exponents 0..2 in few terms, so products collide and cancel; an empty list is the zero Poly
+            monomials = st.tuples(*[st.integers(0, 2)] * nvars)
+            polys = st.lists(st.tuples(monomials, scalars), max_size=4).map(lambda t: Poly(nvars, t))
+            # a few Polys and their negatives, so that whole products cancel and their keys come back later
+            pool = draw(st.lists(polys, min_size=1, max_size=3))
+            values = st.one_of(scalars, st.sampled_from(pool), st.sampled_from(pool).map(lambda p: -p))
+            n = draw(st.integers(0, 6))
+            xs, ys = (draw(st.lists(values, min_size=n, max_size=n)) for _ in range(2))
+            return xs, ys, draw(st.sampled_from([0, Fraction(0), 3, Poly.const(0, nvars)]))
+
+        return cases()
+
+    def test_equals_the_chained_sum(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        x, y = Poly.variables(2)
+
+        @hypothesis.settings(max_examples=400, deadline=None)
+        @hypothesis.given(self._cases())
+        # scalar products, a whole Fraction among them, before the first Poly product
+        @hypothesis.example(([2, Fraction(1, 2), x + 1], [3, 2, y - x], 5))
+        @hypothesis.example(([Fraction(3, 2), x], [Fraction(2, 3), Fraction(1, 2)], Fraction(0)))
+        # products that cancel to zero, a zero Poly factor, and a key that comes back after another one
+        @hypothesis.example(([x, x, Poly.const(0, 2), y, x], [y, -y, x, 1, y + 1], Poly.const(0, 2)))
+        def check(case):
+            xs, ys, start = case
+            want = sum(map(mul, xs, ys), start)
+            for got in (dot(xs, ys, start), _poly_dot(xs, ys, start)):
+                assert type(got) is type(want) and got == want and repr(got) == repr(want)
+
+        check()
+
+    def test_domain_errors(self):
+        x1 = Poly.variable(0, 1)
+        x2 = Poly.variable(0, 2)
+        bad = [
+            ([x1], [x2], 0),  # mixed variable sets in one product
+            ([x1, x2], [1, 1], 0),  # and across the sum
+            ([x2], [1], Poly.const(0, 1)),  # and against the start
+            ([x1], [1.5], 0),
+            ([1.5], [x1], 0),
+            ([x1, 2], [1, 0.5], 0),  # a float scalar product meeting the Poly total
+            ([x1], [1], 0.5),  # a float start meeting the first Poly product
+            ([x1], [None], 0),
+            ([True], [x1], 0),
+        ]
+        for xs, ys, start in bad:
+            with pytest.raises(DomainError):
+                sum(map(mul, xs, ys), start)
+            with pytest.raises(DomainError):
+                dot(xs, ys, start)
+
+    def test_exponent_cap(self):
+        x, y = Poly.variables(2)
+        half = x ** (2**30)
+        # each product passes 2**31 - 1 and the sum cancels it away: the check still sees every product
+        for a, b in ((half, half), (half + y, half - 1)):
+            with pytest.raises(DomainError):
+                sum(map(mul, [a, a], [b, -b]))
+            with pytest.raises(DomainError):
+                dot([a, a], [b, -b])
+        # the fields' OR bound overflows but no product does: the exact check lets it through
+        z = Poly.variable(0, 1)
+        a, b = z ** (2**30) + z**3, z ** (2**30 - 4) + z
+        assert dot([a], [b]) == a * b == Poly(1, {(2**31 - 4,): 1, (2**30 + 1,): 1, (2**30 - 1,): 1, (4,): 1})
+
+
+def test_fused_sums_make_one_poly_each(monkeypatch):
+    # a walk step and a Newton step are each one Poly, not a Poly per product and per partial sum
+    from linrec import CoeffVector, RecurrenceSpec, kernel
+    from linrec.progression import gamma_coefficients
+    from linrec.recurrence import seq_range
+
+    spec = RecurrenceSpec(CoeffVector(Poly.variables(3)), (1, 2, 3))
+    want = seq_range(spec, 0, 40)
+    made = []
+    real_make = Poly._make
+    monkeypatch.setattr(Poly, "_make", staticmethod(lambda nvars, terms: made.append(nvars) or real_make(nvars, terms)))
+    assert seq_range(spec, 0, 40) == want
+    assert len(made) == 38  # a_3..a_40
+
+    per_dot = []
+    real_dot = kernel._poly_dot
+
+    def counting(*args):
+        before = len(made)
+        result = real_dot(*args)
+        per_dot.append(len(made) - before)
+        return result
+
+    monkeypatch.setattr(kernel, "_poly_dot", counting)
+    gamma_coefficients(Poly.variables(3), 5, cross_check=True)
+    assert per_dot == [1] * 5  # the trace head's hat_1 and hat_2, then Newton's g_1, g_2 and g_3

@@ -361,9 +361,9 @@ class TestOneWindowRoute:
     def test_shifted_takes_at_most_d_terms(self, monkeypatch):
         real = recurrence._shifted
 
-        def guarded(c, residue, head, s, count):
+        def guarded(c, residue, head, s, count, poly):
             assert count <= len(c), f"asked for {count} terms at order {len(c)}"
-            return real(c, residue, head, s, count)
+            return real(c, residue, head, s, count, poly)
 
         monkeypatch.setattr(recurrence, "_shifted", guarded)
         n, k = 10**5, 5000
@@ -382,10 +382,10 @@ class TestClosedFormsDoNotWalk:
     def no_long_walks(self, monkeypatch):
         real = recurrence._extend
 
-        def guarded(c, terms, upto):
+        def guarded(c, terms, upto, poly=False):
             if upto >= _JUMP_CUTOFF:
                 raise AssertionError(f"walked to index {upto}")
-            return real(c, terms, upto)
+            return real(c, terms, upto, poly)
 
         # every walk, lucas_transform's and invert_sequence's too, runs through this one name
         monkeypatch.setattr(recurrence, "_extend", guarded)
@@ -487,10 +487,10 @@ class TestRationalSpecsStayIntegral:
 
         real_extend = recurrence._extend
 
-        def guarded_extend(c, terms, upto):
+        def guarded_extend(c, terms, upto, poly=False):
             if has_fraction(c, terms):
                 raise AssertionError("a Fraction reached the forward walk")
-            return real_extend(c, terms, upto)
+            return real_extend(c, terms, upto, poly)
 
         monkeypatch.setattr(recurrence, "_mulmod", guard("_mulmod", recurrence._mulmod))
         monkeypatch.setattr(recurrence, "_reduce", guard("_reduce", recurrence._reduce))

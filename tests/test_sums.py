@@ -438,6 +438,35 @@ class TestProgressionSum:
         with pytest.raises(DegenerateDivisor):
             progression_sum(spec, 6, 0, 5)
 
+    def test_base_divisor_checked_before_the_slice(self, monkeypatch, capsys):
+        # Q_m(1) = Q(1) Q(w) ... Q(w^(m-1)): a zero or polynomial q(1) raises before the slice recurrence is built
+        built = []
+
+        def spy(spec, m, r):
+            built.append((spec, m, r))
+            return subseq_recurrence(spec, m, r)
+
+        monkeypatch.setattr(sums, "subseq_recurrence", spy)
+        for c in ((2, -1), (1, 1, -1), (Fraction(1, 2), Fraction(1, 2))):
+            for m in (1, 2, 3, 6):
+                with pytest.raises(DegenerateDivisor):
+                    progression_sum(RecurrenceSpec(CoeffVector(c), (0,) * (len(c) - 1) + (1,)), m, 0, 5)
+        with pytest.raises(DomainError):
+            progression_sum(RecurrenceSpec(CoeffVector(Poly.variables(3)), (0, 0, 1)), 64, 0, 5)
+        # a polynomial q(1) = -2x is a DomainError up front, though this slice's divisor at m = 2 is zero
+        x = Poly.variable(0, 1)
+        with pytest.raises(DomainError):
+            progression_sum(RecurrenceSpec(CoeffVector((x, x + 1)), (0, 1)), 2, 0, 5)
+        assert built == []
+        # a base divisor of 1 whose step-6 slice divisor vanishes still raises through the slice route
+        with pytest.raises(DegenerateDivisor):
+            progression_sum(RecurrenceSpec(CoeffVector((1, -1)), (1, 2)), 6, 0, 5)
+        assert len(built) == 1
+        for argv in (["--coeffs", "2,-1", "--init", "0,1", "--m", "3"], ["--coeffs", "1,-1", "--init", "1,2", "--m", "6"]):
+            assert cli.main(["subsum", *argv, "--r", "0", "--n", "5"]) == 4
+            out, err = capsys.readouterr()
+            assert out == "" and err.strip()
+
     def test_tribonacci_step_three(self):
         base = seq_range(TRIB, 0, 100)
         for n in range(0, 31):
