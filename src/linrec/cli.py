@@ -24,12 +24,12 @@ import json
 import re
 import sys
 
-from .kernel import DomainError, Poly, scalar_from_str, scalar_to_str, value_to_json
+from .kernel import DomainError, Poly, _check_index, scalar_from_str, scalar_to_str, value_to_json
 from .lucas import lucas_transform
 from .progression import SliceReport, gamma_coefficients, subseq_recurrence, verify_slice
 from .recurrence import CoeffVector, InvalidCoeffs, RecurrenceSpec, seq_eval, seq_range
 from .sequences import UnknownName, catalog_get, catalog_names
-from .sums import DegenerateDivisor, partial_sum_closed, partial_sum_form
+from .sums import DegenerateDivisor, _check_divisor, partial_sum_closed, partial_sum_form
 
 _RANGE = re.compile(r"^(\d+)\.\.(\d+)$")
 _NEGATIVE = re.compile(r"^-\d")
@@ -172,6 +172,10 @@ def _cmd_sum(args) -> int:
 
 def _cmd_subsum(args) -> int:
     spec = _spec(args)
+    # as in progression_sum: the indices, then the base q(1), whose zero makes the slice's zero: exit 4 before the slice
+    _check_index(args.r, "r")
+    _check_index(args.m, "m", 1)
+    _check_divisor(spec.coeffs.c)
     sub = subseq_recurrence(spec, args.m, args.r)
     record = _sum_record(args, sub, {"command": "subsum", "m": args.m, "r": args.r})
     _print_record(args, record, _sum_lines)

@@ -18,13 +18,14 @@ packs each monomial into one int key, caps every exponent at 2**31 - 1, and
 hands out its terms only as a decoded copy (:attr:`Poly.terms`).  No floating
 point is used anywhere.
 
-Every sum of products in the package, a walk step, a Newton step, a matrix
-entry, is :func:`dot`: ``dot(xs, ys, start)`` equals ``sum(map(mul, xs, ys),
-start)`` in value, in type and, for a Poly, in term order, so even its repr
-is the same.  Int and Fraction data take that C-level sum itself.  Where a
-Poly takes part, every product is added straight into one owned term dict and
-one Poly is made at the end; ``Poly * Poly`` is the one-pair case of the same
-product loop.
+A walk step, a Newton step, a matrix entry, a Bell row sum and a closed
+sum's weights are :func:`dot`, which equals ``sum(map(mul, xs, ys), start)``
+in value, type and Poly term order.  The residue products of
+``recurrence._mulmod`` and ``_reduce`` (``+=``), ``oracle.fit_recurrence``'s
+integer check and ``bell.bell_table`` are not.  Poly arithmetic is
+:meth:`Poly._factor`, the other operand's term dict, and :func:`_accumulate`,
+the one loop that adds a product of term dicts into a third: ``+``, ``-``,
+``*`` and :func:`dot` all run it.
 """
 
 from __future__ import annotations
@@ -99,7 +100,9 @@ def exact_div(a, n):
 
 
 def as_integer(x) -> int:
-    """Lower an exact value to int, raising DivisionNotExact if it is not one."""
+    """Lower an exact value to int, raising DivisionNotExact if it is not one and DomainError for a bool."""
+    if isinstance(x, bool):
+        raise DomainError(f"expected an exact value, got the bool {x!r}")
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
@@ -252,24 +255,21 @@ class Poly:
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other) -> "Poly":
-        """other as a Poly over self's variables; DomainError for anything outside the ring."""
+        """other as a Poly over self's variables; DomainError, from :meth:`_factor`, for anything outside the ring."""
+        return Poly._make(self.nvars, self._factor(other))
+
+    def _factor(self, other) -> dict:
+        """other's term dict, to add to self or multiply it by; DomainError for anything outside the ring."""
         if isinstance(other, Poly):
             if other.nvars != self.nvars:
                 raise DomainError("mixing polynomials over different variable sets")
-            return other
-        return Poly.const(other, self.nvars)
+            return other._terms
+        c = other if type(other) is int else _coefficient(other)
+        return {0: c} if c else {}
 
     def __add__(self, other):
-        if type(other) is int and not other:
-            return self
-        other = self._coerce(other)
-        if not other._terms:
-            return self
-        terms = dict(self._terms)
-        get = terms.get
-        for key, c in other._terms.items():
-            terms[key] = get(key, 0) + c
-        return Poly._make(self.nvars, _settle(terms, other._terms))
+        right = self._factor(other)
+        return Poly._make(self.nvars, _accumulate(dict(self._terms), right, _ONE, 0)) if right else self
 
     __radd__ = __add__
 
@@ -277,19 +277,13 @@ class Poly:
         return Poly._make(self.nvars, {key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other):
-        return self + -self._coerce(other)
+        right = self._factor(other)
+        return Poly._make(self.nvars, _accumulate(dict(self._terms), right, _MINUS_ONE, 0)) if right else self
 
     def __rsub__(self, other):
-        return -self + other
-
-    def _factor(self, other) -> dict:
-        """other's term dict as a factor of a product with self; DomainError for anything outside the ring."""
-        if isinstance(other, Poly):
-            if other.nvars != self.nvars:
-                raise DomainError("mixing polynomials over different variable sets")
-            return other._terms
-        c = other if type(other) is int else _coefficient(other)
-        return {0: c} if c else {}
+        # -self + other: self's terms are negated first, so they keep their order ahead of other's
+        terms = _accumulate({}, self._terms, _MINUS_ONE, 0)
+        return Poly._make(self.nvars, _accumulate(terms, self._factor(other), _ONE, 0))
 
     def __mul__(self, other):
         right = self._factor(other)
@@ -427,18 +421,16 @@ def _clear_denominators(values) -> tuple[int, list]:
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-def _settle(terms: dict, keys=None) -> dict:
+def _settle(terms: dict) -> dict:
     """Put a fresh term dict in canonical form, in place, and return it.
 
-    Zeros are dropped and whole Fractions lowered to int; this is the one
-    place the rule is applied to stored terms, apart from the one-term loop
-    of :func:`_accumulate`, which applies it to each key as it lands.
-    ``keys`` limits the pass to the entries an operation touched (all of
-    them by default).
+    Zeros are dropped and whole Fractions lowered to int.  A dict built a
+    product at a time settles here at the end; the one-term loop of
+    :func:`_accumulate`, behind ``+``, ``-`` and :func:`_add_scalar`, settles
+    each key as it lands instead.
     """
     zeros = []
-    for key in terms if keys is None else keys:
-        c = terms[key]
+    for key, c in terms.items():
         if not c:
             zeros.append(key)
         elif type(c) is not int:
@@ -448,21 +440,25 @@ def _settle(terms: dict, keys=None) -> dict:
     return terms
 
 
-#: The term dict of the constant 1.
+#: The term dicts of the constants 1 and -1.
 _ONE = {0: 1}
+_MINUS_ONE = {0: -1}
 
 
 def _accumulate(terms: dict, a: dict, b: dict, guard: int) -> dict:
     """terms plus the product of the term dicts a and b, settled: terms itself, or a new dict if it was empty.
 
-    The one product loop: :meth:`Poly.__mul__` runs it on an empty dict and
-    :func:`dot` on its running sum.  Keys are added in the order a*b builds
-    them, a outer and b inner, or the longer side in order when the other
-    has one term.  A key is dropped or lowered only once no later pair of
-    the product can reach it, so the dict holds its keys in the order the
-    product added to terms by ``+`` would.  Every key the product generates
-    passes the exponent-cap check against guard, the :func:`_guard` of the
-    number of variables, a key that cancels too.
+    The one term loop: :meth:`Poly.__mul__` runs it on an empty dict,
+    :func:`dot` on its running sum, and ``+`` and ``-`` on a copy of the
+    left side's terms with b the one-term ``_ONE`` or ``_MINUS_ONE`` and
+    guard 0, since adding moves no key.  Keys are added in the order a*b
+    builds them, a outer and b inner, or the longer side in order when the
+    other has one term.  A key is dropped or lowered only once no later pair
+    of the product can reach it, so the dict holds its keys in the order
+    that adding the finished product to terms, key by key, would give.
+    Every key the product generates passes the exponent-cap check against
+    guard, the :func:`_guard` of the number of variables, a key that cancels
+    too.
     """
     big, small = (a, b) if len(a) >= len(b) else (b, a)
     if len(small) <= 1:  # no two of its products share a key, so each settles as it lands
@@ -498,14 +494,13 @@ def _accumulate(terms: dict, a: dict, b: dict, guard: int) -> dict:
     return _settle(terms)
 
 
-def _add_scalar(terms: dict, value) -> None:
-    """Add an exact scalar into a term dict's constant, as ``Poly + value`` does; DomainError for any other value."""
-    if type(value) is int and not value:
-        return
-    c = _coefficient(value)
-    if c:
-        terms[0] = terms.get(0, 0) + c
-        _settle(terms, (0,))
+def _add_scalar(terms: dict, value) -> dict:
+    """terms plus an exact scalar, as ``Poly + value`` adds it: terms itself, or a new dict if it was empty.
+
+    A value outside int and Fraction raises DomainError.
+    """
+    c = value if type(value) is int else _coefficient(value)
+    return _accumulate(terms, {0: c}, _ONE, 0) if c else terms
 
 
 def dot(xs, ys, start=0):
@@ -549,13 +544,12 @@ def _poly_dot(xs, ys, start=0):
             total = total + x * y
             continue
         else:
-            _add_scalar(terms, x * y)
+            terms = _add_scalar(terms, x * y)
             continue
         factor = p._factor(other)
         if terms is None:
             nvars, guard = p.nvars, _guard(p.nvars)
-            terms = _accumulate({}, p._terms, factor, guard)
-            _add_scalar(terms, total)
+            terms = _add_scalar(_accumulate({}, p._terms, factor, guard), total)
         elif p.nvars != nvars:
             raise DomainError("mixing polynomials over different variable sets")
         else:

@@ -147,6 +147,21 @@ class TestSums:
         assert code == 4
         assert err.strip()
 
+    def test_degenerate_base_exits_before_the_slice(self, capsys, monkeypatch):
+        # q(1) = 0 for the base is checked first, as progression_sum does: the slice is never built
+        built = []
+        real = cli.subseq_recurrence
+        monkeypatch.setattr(cli, "subseq_recurrence", lambda *a: built.append(a) or real(*a))
+        code, out, err = run_cli(capsys, "subsum", "--coeffs", "2,-1", "--init", "0,1", "--m", "3", "--n", "5")
+        assert (code, out, built) == (4, "", [])
+        assert err == "error: q(1) = 0 for these coefficients; sum the terms directly instead\n"
+        # a bad index still exits 3 before the divisor, and a base with q(1) != 0 reaches its slice's own divisor
+        code, _, err = run_cli(capsys, "subsum", "--coeffs", "2,-1", "--init", "0,1", "--m", "0", "--n", "5")
+        assert (code, err, built) == (3, "error: expected an int m >= 1, got 0\n", [])
+        code, out, err = run_cli(capsys, "subsum", "--coeffs", "1,-1", "--init", "0,1", "--m", "6", "--n", "5")
+        assert (code, out, len(built)) == (4, "", 1)
+        assert err == "error: q(1) = 0 for these coefficients; sum the terms directly instead\n"
+
 
 class TestVerify:
     def test_pass(self, capsys):

@@ -81,6 +81,49 @@ def test_one_dot_product():
     assert "_dot" not in names_read((SRC / "oracle.py").read_text())
 
 
+def term_adders(source: str) -> list[str]:
+    """Each function (Class.method for a method) with a loop that adds a coefficient into a dict read through get."""
+
+    def adds_through_get(node) -> bool:
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Add)
+            and any(
+                isinstance(side, ast.Call) and getattr(side.func, "id", getattr(side.func, "attr", None)) == "get"
+                for side in (node.left, node.right)
+            )
+        )
+
+    loops = (ast.For, ast.While, ast.DictComp, ast.ListComp, ast.SetComp, ast.GeneratorExp)
+    tree = ast.parse(source)
+    functions = [(f"{c.name}.", c.body) for c in tree.body if isinstance(c, ast.ClassDef)] + [("", tree.body)]
+    return sorted(
+        prefix + fn.name
+        for prefix, body in functions
+        for fn in body
+        if isinstance(fn, ast.FunctionDef)
+        and any(adds_through_get(n) for loop in ast.walk(fn) if isinstance(loop, loops) for n in ast.walk(loop))
+    )
+
+
+def test_term_adders_found():
+    source = (
+        "class P:\n    def add(self, t):\n        for k, c in t.items():\n            t[k] = t.get(k, 0) + c\n"
+        "def once(t, c):\n    t[0] = t.get(0, 0) + c\n"
+        "def comp(t, u):\n    return {k: c + get(k, 0) for k, c in u.items()}\n"
+    )
+    assert term_adders(source) == ["P.add", "comp"]
+
+
+def test_one_term_loop():
+    # Poly's + and - run the product loop with a one-term factor, so only it and the validating
+    # constructor add coefficients into a term dict, and _settle always settles a whole dict
+    source = (SRC / "kernel.py").read_text()
+    assert term_adders(source) == ["Poly.__init__", "_accumulate"]
+    (settle,) = (f for f in ast.parse(source).body if isinstance(f, ast.FunctionDef) and f.name == "_settle")
+    assert [a.arg for a in settle.args.args] == ["terms"] and not settle.args.defaults
+
+
 def test_one_term_layout():
     # Poly's packed term dict is private: only kernel.py reads it, everything else goes through .terms
     naming = [p.name for p in sorted(SRC.glob("*.py")) if "_terms" in names_read(p.read_text())]

@@ -1,3 +1,4 @@
+from enum import IntEnum
 import json
 import random
 from fractions import Fraction
@@ -77,6 +78,12 @@ class TestLowering:
         assert as_integer(5) == 5
         with pytest.raises(DivisionNotExact):
             as_integer(Fraction(1, 2))
+        with pytest.raises(DivisionNotExact):
+            as_integer(Poly.const(2, 1))
+        # a bool is not an exact value here, as everywhere else in the package
+        for flag in (True, False):
+            with pytest.raises(DomainError):
+                as_integer(flag)
 
     def test_ring_const_and_exemplar(self):
         # the dominant domain among the values wins: Poly beats Fraction beats int
@@ -217,6 +224,8 @@ class TestPolyMisc:
         assert Poly.const(3, 2) == 3
         assert Poly.const(Fraction(1, 2), 1) == Fraction(1, 2)
         assert Poly.variable(0, 1) != 3
+        # a value outside the ring is never equal: Poly.__eq__ hands it back to Python
+        assert (Poly.variable(0, 1) == "a") is False and Poly.variable(0, 1) != "a"
 
     def test_hash_consistent(self):
         x, y = Poly.variables(2)
@@ -265,6 +274,8 @@ class TestPolyInput:
         for bad in (5, [(5, 1)], [5], [((1,), 2, 3)], {5: 1}):
             with pytest.raises(DomainError):
                 Poly(1, bad)
+        with pytest.raises(DomainError):
+            Poly.variable(2, 2)
 
     def test_mixed_variable_sets_rejected(self):
         x, (y, _, _) = Poly.variable(0, 2), Poly.variables(3)
@@ -336,6 +347,10 @@ class TestPolyInput:
         assert p.terms == {(1, 0): 2, (0, 1): 1}
         assert all(type(c) is int for c in p.terms.values())
         assert type(Poly.const(Fraction(6, 3), 1).constant_value()) is int
+        # an int subclass such as an IntEnum member is stored as a plain int
+        two = IntEnum("Small", {"TWO": 2}).TWO
+        for p in (Poly(1, {(1,): two}), Poly.const(two, 1), Poly.variable(0, 1) * two):
+            assert [type(c) for c in p.terms.values()] == [int] and p.terms == {(p.total_degree(),): 2}
 
 
 def _reference(pairs) -> dict:

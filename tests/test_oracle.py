@@ -210,6 +210,7 @@ class TestFit:
     def test_geometric_is_underdetermined_at_order_two(self):
         terms = [2**n for n in range(10)]
         assert fit_recurrence(terms, 2) is UNDERDETERMINED
+        assert repr(UNDERDETERMINED) == "UNDERDETERMINED"
 
     def test_dependent_windows(self):
         # rank-deficient system: geometric tail admits a whole family of fits

@@ -1,9 +1,10 @@
+from dataclasses import replace
 import json
 from importlib import resources
 
 import pytest
 
-from linrec import UnknownName
+from linrec import UnknownName, sequences
 from linrec.lucas import lucas_transform
 from linrec.recurrence import seq_range
 from linrec.sequences import catalog_get, catalog_names, catalog_selfcheck
@@ -12,6 +13,25 @@ from linrec.sequences import catalog_get, catalog_names, catalog_selfcheck
 class TestSelfCheck:
     def test_clean(self):
         assert catalog_selfcheck() == []
+
+    def test_problems_reported(self, monkeypatch):
+        # each of the four checks, on entries broken one way each
+        fixed = sequences._load_fixed()
+        fib, k_lucas = fixed["fibonacci"], catalog_get("k_lucas(2)")
+        broken = {
+            "short": replace(fib, name="short", prefix=fib.prefix[:14]),
+            "off": replace(fib, name="off", prefix=fib.prefix[:5] + (9,) + fib.prefix[6:]),
+            "pell_hat": replace(k_lucas, name="pell_hat", hat_of="fibonacci"),
+            "fib_hat": replace(fib, name="fib_hat", hat_of="fibonacci"),
+        }
+        monkeypatch.setattr(sequences, "_load_fixed", lambda: {**fixed, **broken})
+        assert catalog_selfcheck() == [
+            "short: prefix shorter than 15 terms",
+            "off: prefix does not match its recurrence",
+            "pell_hat: coefficients differ from base fibonacci",
+            "pell_hat: prefix is not the trace sequence of fibonacci",
+            "fib_hat: prefix is not the trace sequence of fibonacci",
+        ]
 
 
 class TestFixedEntries:
@@ -111,6 +131,8 @@ class TestFamilies:
             catalog_get("catalan")
         with pytest.raises(UnknownName):
             catalog_get("k_fibonacci(x)")
+        with pytest.raises(UnknownName):
+            catalog_get("foo(3)")
 
 
 class TestHatWiring:
