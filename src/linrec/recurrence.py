@@ -16,9 +16,7 @@ set of initial terms), b_n = e*D^n*a_n satisfies the integer recurrence
 c_i*D^i, which is jumped and walked instead, and a_n = b_n / (e*D^n) is read
 off at the end.  So no walk step and no residue product over int and
 Fraction data ever sees a Fraction.  The engine alone chooses between
-walking and jumping: a single term or window of int or Fraction data is
-jumped once jumping is the cheaper route, from index 8d + 24; a stride
-chain, or Poly data, from index 256.
+walking and jumping, by the one rule in :func:`_walks`.
 """
 
 from __future__ import annotations
@@ -162,28 +160,41 @@ def _xpow(c: tuple, n: int) -> list:
     return result
 
 
-# A single int term (count = 1) or window (m = 1) is jumped once the last index
-# a jump would reach is at least _jump_from(d) = 8d + 24, at or just above where
-# the routes cross.  Walk time over jump time (fastest of 5x200 calls, three
-# specs per d with coefficients in [-3, 3], Python 3.11 on a shared 2-vCPU
-# host) passes 1 at about:
+# The two cutoffs of :func:`_walks`.  _jump_from(d) = 8d + 24 lies at or just
+# above where the routes cross for int data.  Walk time over jump time (fastest
+# of 5x200 calls, three specs per d with coefficients in [-3, 3], Python 3.11
+# on a shared 2-vCPU host) passes 1 at about:
 #
 #     d                    1   2   3   4   5   6   7   8
 #     single int term     20  22  34  38  42  48  64  60
 #     int window of d     20  30  46  47  50  70  85  83   (at a_(r+d-1))
 #     single Fraction     22  22  36  32  44  48  56  52   (lifted to ints)
 #
-# and at n = 255 the jump takes a sixth to a third of the walk's time.  Below
-# _JUMP_CUTOFF a stride chain (m > 1, count > 1) still walks, since one walk
-# serves every term of the slice, and so does Poly data, where no one index
-# fits: at n = 96 a_n of the dense (c1+1, c2-c1, -c2) took 456 ms jumping
-# against 231 ms walking, while the sparse (c1, c2) took 0.9 against 3.0 ms.
+# and at n = 255 the jump takes a sixth to a third of the walk's time.
+# _JUMP_CUTOFF serves stride chains, where one walk serves every term of the
+# slice, and Poly data, where no one index fits: at n = 96 a_n of the dense
+# (c1+1, c2-c1, -c2) took 456 ms jumping against 231 ms walking, while the
+# sparse (c1, c2) took 0.9 against 3.0 ms.
 _JUMP_CUTOFF = 256
 
 
 def _jump_from(d: int) -> int:
     """The least last index from which a single int term or window of order d is jumped."""
     return 8 * d + 24
+
+
+def _walks(d: int, m: int, r: int, count: int, poly: bool) -> bool:
+    """Whether the engine walks, not jumps, to t_r, t_{r+m}, ..., t_{r+(count-1)m} at order d: the one route rule.
+
+    A stride chain (m > 1, count > 1) walks while its last index is below
+    _JUMP_CUTOFF (256).  Anything else walks where it starts inside the head
+    (r < d), or where its last jumped index r + min(count, d) - 1 (a
+    window's d-th term) is below _JUMP_CUTOFF for Poly data and below
+    :func:`_jump_from` (8d + 24) otherwise, lifted Fraction data included.
+    """
+    if m > 1 and count > 1:
+        return r + (count - 1) * m < _JUMP_CUTOFF
+    return r < d or r + min(count, d) - 1 < (_JUMP_CUTOFF if poly else _jump_from(d))
 
 
 def _shifted(c: tuple, residue: list, head, s: int, count: int, poly: bool) -> list:
@@ -201,16 +212,11 @@ def _stride_heads(c: tuple, heads, m: int, r: int, count: int) -> list:
     A single index takes a half jump (see below); a window (m = 1) applies
     x^r mod q to each head to give its first d terms and walks on from
     them; a wider stride takes x^r mod q once and steps it by multiplying
-    with x^m mod q.  The head is walked instead where a window or single
-    term starts inside the head, or where the last index a jump would reach
-    (the last term, or a window's d-th) lies below the point where jumping
-    gets cheaper: :func:`_jump_from` (8d + 24) for a single term or window
-    of int data, and _JUMP_CUTOFF for a stride chain or any Poly data (the
-    measurements are above _JUMP_CUTOFF).  Int and Fraction data with some
-    Fraction runs as the integer sequences b_n = e*D^n*a_n, one D for the
-    coefficients and one e per head (see the module docstring), so the int
-    rule decides its route.  On every route the initial terms come back as
-    given, and every later term has the type the forward walk gives it.
+    with x^m mod q.  Where :func:`_walks` says so the head is walked
+    instead.  Int and Fraction data with some Fraction runs as the integer
+    sequences b_n = e*D^n*a_n, one D for the coefficients and one e per head
+    (see the module docstring).  On every route the initial terms come back
+    as given, and every later term has the type the forward walk gives it.
     """
     if count < 1:
         return [[] for _ in heads]
@@ -233,11 +239,8 @@ def _stride_heads(c: tuple, heads, m: int, r: int, count: int) -> list:
             out.append(terms)
         return out
     last = r + (count - 1) * m
-    reach = r + min(count, len(c)) - 1 if m == 1 else last  # the last index a jump would reach
-    strided = m > 1 and count > 1
     poly = Poly in kinds  # the sums of products take the fused dot, decided here once
-    walk_below = _JUMP_CUTOFF if strided or poly else _jump_from(len(c))
-    if reach < walk_below or r < len(c) and not strided:
+    if _walks(len(c), m, r, count, poly):
         return [_extend(c, list(head[: last + 1]), last, poly)[r : last + 1 : m] for head in heads]
     apply = _dot_for(poly)
     if count == 1:
@@ -275,11 +278,7 @@ def _stride_terms(c: tuple, head, m: int, r: int, count: int) -> list:
 
 
 def seq_window(spec: RecurrenceSpec, n: int, k: int) -> list:
-    """Terms a_n..a_{n+k-1}; once jumping is cheaper x^n mod q gives the first d of them and a walk the rest.
-
-    For int and Fraction data that is once a_{n+min(k,d)-1} lies at index 8d + 24 or past it; for
-    Poly data at index 256 or past it.  Nearer the head the window is walked.
-    """
+    """Terms a_n..a_{n+k-1}; where the engine jumps (:func:`_walks`) x^n mod q gives the first d and a walk the rest."""
     _check_index(n, "n")
     _check_index(k, "k")
     return _stride_terms(spec.coeffs.c, spec.initial, 1, n, k)
@@ -295,10 +294,9 @@ def seq_range(spec: RecurrenceSpec, n0: int, n1: int) -> list:
 def seq_eval(spec: RecurrenceSpec, n: int):
     """Single term a_n, in time logarithmic in n for large n.
 
-    From index 8d + 24 on (int and Fraction data) or 256 on (Poly data),
-    where jumping is the cheaper route, this is a half jump; below that the
-    initial terms are walked to a_n.  R = x^(n//2) mod q applied to the initial
-    terms walked to index 2d-1 gives the d terms from a_(n//2) or
+    Where the engine jumps (:func:`_walks`) this is a half jump; elsewhere
+    the initial terms are walked to a_n.  R = x^(n//2) mod q applied to the
+    initial terms walked to index 2d-1 gives the d terms from a_(n//2) or
     a_(n//2+1) on, and R applied to those is a_n, so the last step costs d
     full-size products instead of the d(d+1)/2 of squaring R.
     """

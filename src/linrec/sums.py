@@ -13,14 +13,13 @@ The weighted sequence a'_k = sum_j w_j a_{k+j} satisfies the same
 recurrence, so the identity reads S_n = (a'_{n+1} - a'_0) / q(1).  A sum
 takes one of three routes, after q(1) is checked and before any term:
 
-* walked int sum: on int data, where the term engine would walk to the
-  look-ahead window (n + d below :func:`linrec.recurrence._jump_from`), the
-  walked terms a_0..a_n are added up, with d fewer steps and no division;
-* jumped window: below n + d = 256 the form is applied to the d look-ahead
-  terms a_{n+1}..a_{n+d}, a window the term engine supplies, jumping to it
-  once jumping is cheaper (:func:`linrec.recurrence._stride_heads`);
-* half jump: from n + d >= 256 on a sum is one far term, a half jump from
-  the head a'_0..a'_{d-1}.
+* walked int sum: on int data whose look-ahead a_{n+1}..a_{n+d} the term
+  engine would walk to (:func:`linrec.recurrence._walks`), the walked terms
+  a_0..a_n are added up, with d fewer steps and no division;
+* window: below n + d = _HALF_JUMP_FROM the form is applied to that
+  look-ahead window, which the term engine supplies;
+* half jump: from there on a sum is one far term, a half jump from the
+  head a'_0..a'_{d-1}.
 
 The same machinery applies to arithmetic-progression subsequences: their own
 recurrence (from :mod:`linrec.progression`) is summed the same way, and its
@@ -40,15 +39,20 @@ from dataclasses import dataclass
 from .kernel import DomainError, Poly, _check_exact, _check_index, dot, exact_div, ring_const
 from .progression import subseq_recurrence
 from .recurrence import (
-    _JUMP_CUTOFF,
     RecurrenceSpec,
-    _jump_from,
     _stride_terms,
+    _walks,
     as_coeff_vector,
     seq_eval,
     seq_range,
     seq_window,
 )
+
+
+# Where a sum leaves the window for the half jump.  Up to n = 500 the window took
+# 0.3-0.98 of the half jump's time on int and Fraction data at d = 2..8; the half
+# jump pulls ahead from about n = 1000 on some specs, only past 4000 on others.
+_HALF_JUMP_FROM = 256
 
 
 class DegenerateDivisor(ArithmeticError):
@@ -106,28 +110,25 @@ def partial_sum_closed(spec: RecurrenceSpec, n: int):
     """sum_{j=0..n} a_j in closed form, exactly: (a'_{n+1} - a'_0) / q(1).
 
     q(1) is checked before any term is computed: zero raises
-    DegenerateDivisor, a non-constant polynomial DomainError.  On int data
-    whose look-ahead a_{n+1}..a_{n+d} the term engine would walk to (n + d
-    below :func:`linrec.recurrence._jump_from`) the walked terms a_0..a_n
-    are added up.  Otherwise, below n + d = 256, the form is applied to that
-    look-ahead window, which the engine jumps to once jumping is cheaper;
-    from n + d >= 256 on a'_{n+1} is a half jump from a'_0..a'_{d-1}, formed
-    from a_0..a_{2d-2}.  Fraction and Poly data never take the walked sum:
-    each rational term read off alone costs a gcd, and the sum of a Poly
-    spec's int head terms would come back as an int.
+    DegenerateDivisor, a non-constant polynomial DomainError.  Then the sum
+    takes one of the three routes in the module docstring; the half jump
+    forms a'_0..a'_{d-1} from a_0..a_{2d-2}.  Fraction and Poly data never
+    take the walked sum: each rational term read off alone costs a gcd, and
+    the sum of a Poly spec's int head terms would come back as an int.
     """
     _check_index(n, "n")
     _check_divisor(spec.coeffs.c)
     d = spec.order
-    if n + d < _jump_from(d) and set(map(type, spec.coeffs.c + spec.initial)) == {int}:
+    if _walks(d, 1, n + 1, d, False) and set(map(type, spec.coeffs.c + spec.initial)) == {int}:
         return sum(seq_range(spec, 0, n))
     form = partial_sum_form(spec)
-    if n + d < _JUMP_CUTOFF:
-        return form.evaluate(seq_range(spec, n + 1, n + d))
-    a = seq_window(spec, 0, 2 * d - 1)
-    head = tuple(dot(form.weights, a[k : k + d]) for k in range(d))
-    weighted = RecurrenceSpec(spec.coeffs, head)  # a'_k = sum_j w_j a_{k+j}
-    return exact_div(seq_eval(weighted, n + 1) + form.constant, form.divisor)
+    if n + d < _HALF_JUMP_FROM:
+        ahead = dot(form.weights, seq_range(spec, n + 1, n + d))
+    else:
+        a = seq_window(spec, 0, 2 * d - 1)
+        head = tuple(dot(form.weights, a[k : k + d]) for k in range(d))
+        ahead = seq_eval(RecurrenceSpec(spec.coeffs, head), n + 1)  # a'_k = sum_j w_j a_{k+j}
+    return exact_div(ahead + form.constant, form.divisor)  # ahead = a'_{n+1}
 
 
 @dataclass(frozen=True)
@@ -191,16 +192,14 @@ def progression_sum(spec: RecurrenceSpec, m: int, r: int, n: int):
     """sum_{j=0..n} a_{mj+r} in closed form, via the subsequence's own recurrence.
 
     The slice is summed by :func:`partial_sum_closed`, on the same three
-    routes: an int slice whose look-ahead the engine would walk adds up its
-    walked terms, else the form is applied to a jumped window, or from
-    n + d >= 256 on to one half jump.  Raises DegenerateDivisor when the
-    subsequence divisor vanishes, which can happen even though the base
-    divisor does not.  The base divisor is checked first, before the slice
-    recurrence is built: with Q(t) = 1 - c_1 t - ... - c_d t^d the slice's
-    divisor is Q(1) Q(w) ... Q(w^(m-1)) for w a primitive m-th root of
-    unity, so a zero Q(1) makes it zero (DegenerateDivisor).  A polynomial
-    Q(1) raises DomainError, as in :func:`partial_sum_closed`, even where
-    some Q(w^j) vanishes and the slice's divisor is zero.
+    routes.  Raises DegenerateDivisor when the subsequence divisor vanishes,
+    which can happen even though the base divisor does not.  The base
+    divisor is checked first, before the slice recurrence is built: with
+    Q(t) = 1 - c_1 t - ... - c_d t^d the slice's divisor is
+    Q(1) Q(w) ... Q(w^(m-1)) for w a primitive m-th root of unity, so a zero
+    Q(1) makes it zero (DegenerateDivisor).  A polynomial Q(1) raises
+    DomainError, as in :func:`partial_sum_closed`, even where some Q(w^j)
+    vanishes and the slice's divisor is zero.
     """
     _check_index(m, "m", 1)
     _check_index(r, "r")

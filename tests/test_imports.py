@@ -64,6 +64,12 @@ def test_one_walker():
     assert naming == ["recurrence.py"]
 
 
+def test_one_route_rule():
+    # the engine's cutoffs are read only inside the engine: every other module asks recurrence._walks
+    naming = [p.name for p in sorted(SRC.glob("*.py")) if {"_jump_from", "_JUMP_CUTOFF"} & names_read(p.read_text())]
+    assert naming == ["recurrence.py"]
+
+
 def test_gamma_off_the_bell_table():
     # gamma takes Newton's step over trace terms; the Bell table is its witness in the tests, not its route
     assert not {"bell_table", "_bell_row_sum"} & names_read((SRC / "progression.py").read_text())

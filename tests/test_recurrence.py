@@ -156,8 +156,78 @@ class TestHalfJump:
 
 
 class TestRouteRule:
-    """A single term or window of int or Fraction data jumps from _jump_from(d) on; Poly terms and
-    stride chains walk below _JUMP_CUTOFF."""
+    """recurrence._walks is the one route rule: a single term or window of int or Fraction data jumps
+    from _jump_from(d) on; Poly terms and stride chains walk below _JUMP_CUTOFF."""
+
+    # (d, m, r, count, poly) -> walks, on both sides of each edge
+    WALKS = [
+        # a single term of int data (Fraction data runs as ints) at 8d + 24, at stride 1 and past it
+        *[((d, m, _jump_from(d) - 1, 1, False), True) for d in (1, 3, 8) for m in (1, 5)],
+        *[((d, m, _jump_from(d), 1, False), False) for d in (1, 3, 8) for m in (1, 5)],
+        # a window at 8d + 24, counted at its d-th term however long it is
+        *[((d, 1, _jump_from(d) - d, k, False), True) for d in (1, 3, 8) for k in (d, 2 * d + 5)],
+        *[((d, 1, _jump_from(d) - d + 1, k, False), False) for d in (1, 3, 8) for k in (d, 2 * d + 5)],
+        ((3, 1, _jump_from(3) - 2, 2, False), True), ((3, 1, _jump_from(3) - 1, 2, False), False),
+        # Poly data at 256: a single term and a window
+        ((2, 1, 255, 1, True), True), ((2, 1, 256, 1, True), False),
+        ((2, 1, 254, 5, True), True), ((2, 1, 255, 5, True), False),
+        ((8, 1, _jump_from(8), 1, True), True),
+        # an int stride chain at 256, its last index counted, wherever its first lies
+        ((3, 5, 0, 52, False), True), ((3, 5, 1, 52, False), False),
+        ((3, 40, 15, 7, False), True), ((3, 40, 16, 7, False), False),
+        ((3, 40, 0, 8, False), False), ((2, 300, 0, 2, False), False), ((2, 300, 0, 1, False), True),
+        # a window that starts inside the head walks, even where its d-th term lies past 256
+        ((200, 1, 199, 200, True), True), ((200, 1, 200, 200, True), False),
+        ((3, 1, 2, 1000, False), True),
+    ]
+
+    @pytest.mark.parametrize("args, walks", WALKS)
+    def test_walks_table(self, args, walks):
+        assert recurrence._walks(*args) is walks
+
+    def test_jumps_exactly_where_walks_says_property(self, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        (x,) = Poly.variables(1)
+        ints = st.integers(-3, 3)
+        scalars = {"int": ints, "fraction": st.one_of(ints, st.builds(Fraction, ints, st.sampled_from([2, 3, 6])))}
+        jumps = []
+        real = recurrence._xpow
+
+        def counted(c, n):
+            jumps.append(n)
+            return real(c, n)
+
+        monkeypatch.setattr(recurrence, "_xpow", counted)
+
+        @st.composite
+        def cases(draw):
+            kind = draw(st.sampled_from(["int", "fraction", "poly"]))
+            d = draw(st.integers(1, 3 if kind == "poly" else 8))
+            scalar = scalars["int" if kind == "poly" else kind]
+            values = [draw(scalar) for _ in range(2 * d - 1)] + [draw(scalar.filter(bool))]
+            if kind == "poly":  # one value a Poly, in the head or the coefficients; cheap, so far jumps stay fast
+                i = draw(st.integers(0, 2 * d - 1))
+                values[i] = x if d == 1 and draw(st.booleans()) else Poly.const(values[i], 1)
+            head, c = values[:d], values[d:]
+            m = draw(st.sampled_from([1, 2, 5, 40]))
+            at = _jump_from(d)
+            r = draw(st.one_of(st.integers(0, d + 1), st.integers(at - d - 2, at + 2), st.integers(_JUMP_CUTOFF - d - 2, _JUMP_CUTOFF + 2)))
+            # short runs across the window edges, and chains just short of 256 and just reaching it
+            edge = max(-(-(_JUMP_CUTOFF - r) // m), 0) + 1
+            count = draw(st.one_of(st.integers(1, 2 * d + 1), st.integers(max(edge - 1, 1), edge)))
+            return tuple(c), tuple(head), m, r, count
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(cases())
+        def check(case):
+            c, head, m, r, count = case
+            jumps.clear()
+            got = recurrence._stride_heads(c, (head,), m, r, count)[0]
+            assert bool(jumps) is not recurrence._walks(len(c), m, r, count, Poly in map(type, c + head))
+            assert got == walk_reference(c, head, m, r, count)
+
+        check()
 
     def test_product_count(self, mulmods):
         for spec in half_jump_specs() + [SPECS["fraction-d1"], SPECS["fraction-d3"]]:

@@ -8,8 +8,9 @@ from linrec import CoeffVector, DegenerateDivisor, DomainError, InvalidCoeffs, P
 from linrec.lucas import lucas_transform, lucas_transform_bell_prefix
 from linrec.oracle import companion, mat_pow
 from linrec.progression import gamma_coefficients, subseq_recurrence
-from linrec.recurrence import _JUMP_CUTOFF, _jump_from, _stride_terms, seq_eval, seq_range, seq_window
+from linrec.recurrence import _jump_from, _stride_terms, seq_eval, seq_range, seq_window
 from linrec.sums import (
+    _HALF_JUMP_FROM,
     invert_partial_sum,
     invert_sequence,
     lambda_decompose,
@@ -17,7 +18,7 @@ from linrec.sums import (
     partial_sum_form,
     progression_sum,
 )
-from support import matrix_reference, random_spec, squarings, walk_reference
+from support import matrix_reference, random_spec, squarings, walk_reference, window_products
 
 FIB = RecurrenceSpec(CoeffVector((1, 1)), (0, 1))
 TRIB = RecurrenceSpec(CoeffVector((1, 1, 1)), (0, 0, 1))
@@ -270,7 +271,7 @@ class TestSymbolicSums:
 
 
 class TestFarSums:
-    """Past the cutoff a closed sum is one far term of the weighted sequence a'_k = sum_j w_j a_{k+j}."""
+    """From n + d = _HALF_JUMP_FROM on a closed sum is one far term of the weighted sequence a'_k = sum_j w_j a_{k+j}."""
 
     SPECS = (
         TRIB,
@@ -281,9 +282,13 @@ class TestFarSums:
 
     def test_product_count(self, mulmods):
         # one _mulmod per squaring of the half jump to a'_(n+1) past its unit-vector start; the
-        # head and the last step use none
+        # head and the last step use none.  One below the edge the look-ahead window is jumped to
         for spec in self.SPECS:
-            for n in (_JUMP_CUTOFF - 1, _JUMP_CUTOFF, 511, 512, 1000, 4097, 10**5):
+            d = spec.order
+            mulmods.clear()
+            partial_sum_closed(spec, _HALF_JUMP_FROM - d - 1)
+            assert len(mulmods) == window_products(_HALF_JUMP_FROM - d, d, d), spec
+            for n in (_HALF_JUMP_FROM - d, _HALF_JUMP_FROM - 1, _HALF_JUMP_FROM, 511, 512, 1000, 4097, 10**5):
                 mulmods.clear()
                 partial_sum_closed(spec, n)
                 assert len(mulmods) == squarings((n + 1) // 2, spec.order), (spec, n)
