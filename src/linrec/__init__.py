@@ -17,16 +17,7 @@ from .kernel import (
     value_to_json,
 )
 from .recurrence import CoeffVector, InvalidCoeffs, RecurrenceSpec, seq_eval, seq_range, seq_window
-from .bell import SizeLimit, bell_partial, bell_table, bell_truncated3, set_partition_oracle
-from .lucas import (
-    LucasTransform,
-    k_lucas_number,
-    lucas_transform,
-    lucas_transform_bell_prefix,
-    narayana_hat_number,
-    perrin_number,
-    tribonacci_hat_number,
-)
+from .lucas import LucasTransform, lucas_transform
 from .oracle import (
     UNDERDETERMINED,
     CharPoly,
@@ -43,18 +34,15 @@ from .oracle import (
 from .progression import GammaVector, SliceReport, gamma_coefficients, subseq_recurrence, verify_slice
 from .sums import (
     DegenerateDivisor,
-    InvertSumCheck,
     SumClosedForm,
-    invert_partial_sum,
     invert_sequence,
-    lambda_decompose,
     partial_sum_closed,
     partial_sum_form,
     progression_sum,
 )
-from .sequences import CatalogEntry, UnknownName, catalog_get, catalog_names, catalog_selfcheck
+from .sequences import CatalogEntry, UnknownName, catalog_get, catalog_names
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CatalogEntry",
@@ -65,51 +53,37 @@ __all__ = [
     "DomainError",
     "GammaVector",
     "InvalidCoeffs",
-    "InvertSumCheck",
     "LucasTransform",
     "NoSolution",
     "Poly",
     "RecurrenceSpec",
-    "SizeLimit",
     "SliceReport",
     "SumClosedForm",
     "UNDERDETERMINED",
     "UnknownName",
     "as_integer",
-    "bell_partial",
-    "bell_table",
-    "bell_truncated3",
     "catalog_get",
     "catalog_names",
-    "catalog_selfcheck",
     "char_poly",
     "char_poly_of_power",
     "companion",
     "exact_div",
     "fit_recurrence",
     "gamma_coefficients",
-    "invert_partial_sum",
     "invert_sequence",
-    "k_lucas_number",
-    "lambda_decompose",
     "lucas_transform",
-    "lucas_transform_bell_prefix",
     "mat_mul",
     "mat_pow",
     "mat_trace",
-    "narayana_hat_number",
     "partial_sum_closed",
     "partial_sum_form",
-    "perrin_number",
     "progression_sum",
     "scalar_from_str",
     "scalar_to_str",
     "seq_eval",
     "seq_range",
     "seq_window",
-    "set_partition_oracle",
     "subseq_recurrence",
-    "tribonacci_hat_number",
     "value_from_json",
     "value_to_json",
     "verify_recurrence",

@@ -18,14 +18,13 @@ packs each monomial into one int key, caps every exponent at 2**31 - 1, and
 hands out its terms only as a decoded copy (:attr:`Poly.terms`).  No floating
 point is used anywhere.
 
-A walk step, a Newton step, a matrix entry, a Bell row sum and a closed
-sum's weights are :func:`dot`, which equals ``sum(map(mul, xs, ys), start)``
-in value, type and Poly term order.  The residue products of
-``recurrence._mulmod`` and ``_reduce`` (``+=``), ``oracle.fit_recurrence``'s
-integer check and ``bell.bell_table`` are not.  Poly arithmetic is
-:meth:`Poly._factor`, the other operand's term dict, and :func:`_accumulate`,
-the one loop that adds a product of term dicts into a third: ``+``, ``-``,
-``*`` and :func:`dot` all run it.
+A walk step, a Newton step, a matrix entry and a closed sum's weights are
+:func:`dot`, which equals ``sum(map(mul, xs, ys), start)`` in value, type and
+Poly term order.  The residue products of ``recurrence._mulmod`` and
+``_reduce`` (``+=``) and ``oracle.fit_recurrence``'s integer check are not.
+Poly arithmetic is :meth:`Poly._factor`, the other operand's term dict, and
+:func:`_accumulate`, the one loop that adds a product of term dicts into a
+third: ``+``, ``-``, ``*`` and :func:`dot` all run it.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Independent cross-checks: companion matrices, characteristic polynomials,
 recurrence verification and recovery.
 
-Nothing here shares a formula with the Bell-expansion route; that is the
+Nothing here shares a formula with the trace-sequence routes; that is the
 point.  The characteristic polynomial of the m-th power of the companion
 matrix carries the elementary symmetric functions of the m-th powers of the
 roots, and those are exactly the subsequence coefficients the rest of the

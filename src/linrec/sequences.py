@@ -3,7 +3,7 @@
 Fixed entries live in ``catalog.json`` next to this module: name, optional
 OEIS id, coefficients, initial terms, and a frozen prefix that regeneration
 must reproduce exactly.  Trace-sequence entries name their base entry via
-``hat_of`` so the self-check can tie the two together.  The parameterized
+``hat_of``, so a check can tie the two together.  The parameterized
 families k_fibonacci(k), k_lucas(k), d_step_fibonacci(d) and d_step_lucas(d)
 are generated on demand within documented parameter bounds.
 """
@@ -17,7 +17,6 @@ import json
 import re
 
 from .kernel import scalar_from_str
-from .lucas import lucas_transform
 from .recurrence import CoeffVector, RecurrenceSpec, seq_range
 
 
@@ -115,36 +114,3 @@ def catalog_names() -> list[str]:
         "d_step_fibonacci(d)",
         "d_step_lucas(d)",
     ]
-
-
-def _check_entry(entry: CatalogEntry, problems: list[str]) -> None:
-    if len(entry.prefix) < 15:
-        problems.append(f"{entry.name}: prefix shorter than 15 terms")
-    regenerated = tuple(seq_range(entry.spec, 0, len(entry.prefix) - 1))
-    if regenerated != entry.prefix:
-        problems.append(f"{entry.name}: prefix does not match its recurrence")
-    if entry.hat_of is not None:
-        base = catalog_get(entry.hat_of)
-        if base.spec.coeffs != entry.spec.coeffs:
-            problems.append(f"{entry.name}: coefficients differ from base {entry.hat_of}")
-        traced = lucas_transform(base.spec.coeffs, len(entry.prefix) - 1).terms
-        if traced != entry.prefix:
-            problems.append(f"{entry.name}: prefix is not the trace sequence of {entry.hat_of}")
-
-
-def catalog_selfcheck() -> list[str]:
-    """Re-derive every frozen prefix; returns problem descriptions (empty = clean).
-
-    Fixed entries are all checked; the parameterized families are sampled at
-    k = 1..5 and d = 2..6.
-    """
-    problems: list[str] = []
-    for entry in _load_fixed().values():
-        _check_entry(entry, problems)
-    for k in range(1, 6):
-        _check_entry(catalog_get(f"k_fibonacci({k})"), problems)
-        _check_entry(catalog_get(f"k_lucas({k})"), problems)
-    for d in range(2, 7):
-        _check_entry(catalog_get(f"d_step_fibonacci({d})"), problems)
-        _check_entry(catalog_get(f"d_step_lucas({d})"), problems)
-    return problems

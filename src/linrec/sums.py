@@ -26,17 +26,18 @@ recurrence (from :mod:`linrec.progression`) is summed the same way, and its
 divisor can degenerate even when the base one does not (coefficients (1,-1)
 at stride 6, for instance).
 
-The inverse sequence y (generating function 1/q(t)) satisfies the analogous
-identity with an extra +1 and no subtracted head; it holds even in the
-degenerate case, which makes it a useful self-check.  Any initial vector
-decomposes over shifts of y, giving one more reconstruction route.
+The inverse sequence y (generating function 1/q(t)) is the recurrence's own
+solution from the head 0, ..., 0, 1.  The tests hold two identities over it:
+the sum identity with an extra +1 and no subtracted head, which balances
+even in the degenerate case, and the decomposition of any initial vector
+over shifts of y.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import DomainError, Poly, _check_exact, _check_index, dot, exact_div, ring_const
+from .kernel import DomainError, Poly, _check_index, dot, exact_div, ring_const
 from .progression import subseq_recurrence
 from .recurrence import (
     RecurrenceSpec,
@@ -72,14 +73,6 @@ class SumClosedForm:
     divisor: object
     weights: tuple
     constant: object
-
-    def evaluate(self, lookahead):
-        """Apply the form to exact look-ahead terms a_{n+1}..a_{n+d}."""
-        lookahead = _check_exact(lookahead, "look-ahead terms")
-        if len(lookahead) != len(self.weights):
-            raise DomainError(f"expected {len(self.weights)} look-ahead terms")
-        numerator = dot(self.weights, lookahead) + self.constant
-        return exact_div(numerator, self.divisor)
 
 
 def _divisor(c: tuple):
@@ -131,24 +124,6 @@ def partial_sum_closed(spec: RecurrenceSpec, n: int):
     return exact_div(ahead + form.constant, form.divisor)  # ahead = a'_{n+1}
 
 
-@dataclass(frozen=True)
-class InvertSumCheck:
-    """Both sides of the inverse-sequence sum identity; they must be equal.
-
-    lhs = q(1) * sum_{j<=n} y_j and rhs = 1 + sum_j w_j y_{n+j+1}.  The
-    identity holds even when q(1) = 0, so this record is its own check.
-    """
-
-    q_at_one: object
-    partial_sum: object
-    lhs: object
-    rhs: object
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs == self.rhs
-
-
 def invert_sequence(coeffs, upto: int) -> list:
     """Terms y_0..y_upto of the inverse sequence (generating function 1/q).
 
@@ -157,35 +132,6 @@ def invert_sequence(coeffs, upto: int) -> list:
     cv = as_coeff_vector(coeffs)
     _check_index(upto, "upto")
     return _stride_terms(cv.c, (0,) * (cv.d - 1) + (ring_const(1, cv.c),), 1, cv.d - 1, upto + 1)
-
-
-def invert_partial_sum(coeffs, n: int) -> InvertSumCheck:
-    """Evaluate both sides of the inverse-sequence sum identity at n."""
-    cv = as_coeff_vector(coeffs)
-    _check_index(n, "n")
-    c = cv.c
-    d = len(c)
-    y = invert_sequence(cv, n + d)
-    q_at_one = 1 - sum(c)
-    partial = sum(y[: n + 1])
-    weights = _weights(c)
-    rhs = 1 + dot(weights, y[n + 1 :])
-    return InvertSumCheck(q_at_one=q_at_one, partial_sum=partial, lhs=q_at_one * partial, rhs=rhs)
-
-
-def lambda_decompose(spec: RecurrenceSpec) -> tuple:
-    """Coordinates of the initial vector over shifted inverse sequences.
-
-    Returns lam_0..lam_{d-1} with lam_0 = a_0 and
-    lam_n = a_n - sum_{j=1..n} c_j a_{n-j}; then a_n = sum_l lam_l * y_{n-l}
-    for all n (with y_i = 0 for i < 0).
-    """
-    c = spec.coeffs.c
-    a = spec.initial
-    lams = [a[0]]
-    for n in range(1, len(c)):
-        lams.append(a[n] - dot(c[:n], a[n - 1 :: -1]))
-    return tuple(lams)
 
 
 def progression_sum(spec: RecurrenceSpec, m: int, r: int, n: int):

@@ -10,15 +10,23 @@ from fractions import Fraction
 from functools import lru_cache
 
 from linrec import CoeffVector, DegenerateDivisor, Poly, RecurrenceSpec
-from linrec.bell import bell_partial, bell_truncated3, set_partition_oracle
 from linrec.kernel import exact_div
-from linrec.lucas import k_lucas_number, lucas_transform, lucas_transform_bell_prefix
+from linrec.lucas import lucas_transform
 from linrec.oracle import char_poly_of_power, companion, mat_mul, mat_pow, mat_trace, verify_recurrence
 from linrec.progression import gamma_coefficients, subseq_recurrence
 from linrec.recurrence import seq_range
 from linrec.sequences import catalog_get
-from linrec.sums import invert_partial_sum, lambda_decompose, partial_sum_closed, progression_sum
+from linrec.sums import partial_sum_closed, progression_sum
 from support import random_spec
+from witnesses import (
+    bell_partial,
+    bell_truncated3,
+    invert_partial_sum,
+    k_lucas_number,
+    lambda_decompose,
+    lucas_transform_bell_prefix,
+    set_partition_oracle,
+)
 
 TRIB = RecurrenceSpec(CoeffVector((1, 1, 1)), (0, 0, 1))
 

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from linrec import DivisionNotExact, DomainError, Poly, SizeLimit
-from linrec.bell import _bell_row_sum, bell_partial, bell_table, bell_truncated3, set_partition_oracle
+from linrec import DivisionNotExact, DomainError, Poly
+from witnesses import SizeLimit, _bell_row_sum, bell_partial, bell_table, bell_truncated3, set_partition_oracle
 
 
 def stirling2_oracle(n: int, k: int) -> int:
@@ -133,7 +133,7 @@ class TestTable:
 
 
 class TestBellRowSum:
-    """The one exact row sum behind gamma and the Bell route to trace terms."""
+    """The one exact row sum behind the Bell witnesses of gamma and of the trace terms."""
 
     # B_{2,0..2}(1, 0): B_{2,1} = x_2 is a skipped zero argument and B_{2,2} = x_1^2, so both stay int
     INT_ROW = bell_table(2, (1, 0))[2]

@@ -1,11 +1,15 @@
 """Every name a module of the package imports is used in that module."""
 
 import ast
+import json
 from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "linrec"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "linrec"
 # __init__.py imports to re-export
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -29,10 +33,10 @@ def test_finds_unused_imports():
 
 
 def test_modules_found():
-    assert {"kernel.py", "cli.py", "bell.py"} <= {p.name for p in MODULES}
+    assert {"kernel.py", "cli.py"} <= {p.name for p in MODULES}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + [TESTS / "witnesses.py"], ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -71,8 +75,9 @@ def test_one_route_rule():
 
 
 def test_gamma_off_the_bell_table():
-    # gamma takes Newton's step over trace terms; the Bell table is its witness in the tests, not its route
-    assert not {"bell_table", "_bell_row_sum"} & names_read((SRC / "progression.py").read_text())
+    # gamma and the trace terms take Newton's step; the Bell table is their witness in the tests, not a route
+    naming = [p.name for p in sorted(SRC.glob("*.py")) if {"bell_table", "_bell_row_sum"} & names_read(p.read_text())]
+    assert naming == []
 
 
 def test_one_dot_product():
@@ -185,3 +190,49 @@ def test_exports_are_exactly_the_imports():
     imported = [a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names]
     assert sorted(linrec.__all__) == sorted(imported)
     assert all(hasattr(linrec, name) for name in linrec.__all__)
+
+
+# the paper's witnesses that live in tests/witnesses.py, not in the package
+WITNESSES = {
+    "InvertSumCheck",
+    "SizeLimit",
+    "bell_partial",
+    "bell_table",
+    "bell_truncated3",
+    "catalog_selfcheck",
+    "invert_partial_sum",
+    "k_lucas_number",
+    "lambda_decompose",
+    "lucas_transform_bell_prefix",
+    "narayana_hat_number",
+    "perrin_number",
+    "set_partition_oracle",
+    "tribonacci_hat_number",
+}
+
+LOADED_CODE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import linrec, linrec.cli
+print(json.dumps({"modules": sorted(m for m in sys.modules if m.startswith("linrec")), "all": linrec.__all__}))
+"""
+
+
+def test_witnesses_stay_out_of_the_package():
+    # a fresh interpreter that imports the library and its CLI loads no Bell module and exports no witness
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", LOADED_CODE, str(SRC.parent)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    loaded = json.loads(done.stdout)
+    assert "linrec.cli" in loaded["modules"]
+    assert "linrec.bell" not in loaded["modules"]
+    assert not WITNESSES & set(loaded["all"])
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is in the standard library from Python 3.11")
+    import linrec
+
+    with open(TESTS.parent / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == linrec.__version__

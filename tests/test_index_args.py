@@ -5,19 +5,23 @@ from fractions import Fraction
 import pytest
 
 from linrec import CoeffVector, DomainError, Poly, RecurrenceSpec
-from linrec.bell import bell_partial, bell_table, bell_truncated3, set_partition_oracle
-from linrec.lucas import (
-    k_lucas_number,
-    lucas_transform,
-    lucas_transform_bell_prefix,
-    narayana_hat_number,
-    perrin_number,
-    tribonacci_hat_number,
-)
+from linrec.lucas import lucas_transform
 from linrec.oracle import CharPoly, char_poly_of_power, companion, fit_recurrence, mat_pow
 from linrec.progression import gamma_coefficients, subseq_recurrence, verify_slice
 from linrec.recurrence import seq_eval, seq_range, seq_window
-from linrec.sums import invert_partial_sum, invert_sequence, partial_sum_closed, progression_sum
+from linrec.sums import invert_sequence, partial_sum_closed, progression_sum
+from witnesses import (
+    bell_partial,
+    bell_table,
+    bell_truncated3,
+    invert_partial_sum,
+    k_lucas_number,
+    lucas_transform_bell_prefix,
+    narayana_hat_number,
+    perrin_number,
+    set_partition_oracle,
+    tribonacci_hat_number,
+)
 
 FIB = RecurrenceSpec(CoeffVector((1, 1)), (0, 1))
 FIB_TERMS = seq_range(FIB, 0, 12)

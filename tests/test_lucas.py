@@ -4,16 +4,16 @@ from fractions import Fraction
 import pytest
 
 from linrec import DomainError, Poly
-from linrec.lucas import (
+from linrec.lucas import lucas_transform
+from linrec.oracle import companion, mat_pow, mat_trace
+from support import random_coeffs
+from witnesses import (
     k_lucas_number,
-    lucas_transform,
     lucas_transform_bell_prefix,
     narayana_hat_number,
     perrin_number,
     tribonacci_hat_number,
 )
-from linrec.oracle import companion, mat_pow, mat_trace
-from support import random_coeffs
 
 
 class TestGoldens:

@@ -8,14 +8,14 @@ from fractions import Fraction
 import pytest
 
 from linrec import CoeffVector, DomainError, Poly, RecurrenceSpec
-from linrec.bell import _bell_row_sum, bell_table
 from linrec.kernel import value_to_json
-from linrec.lucas import k_lucas_number, lucas_transform, lucas_transform_bell_prefix
+from linrec.lucas import lucas_transform
 from linrec import progression
 from linrec.oracle import NoSolution, char_poly_of_power, verify_recurrence
 from linrec.progression import GammaVector, gamma_coefficients, subseq_recurrence, verify_slice
 from linrec.recurrence import seq_range
 from support import random_spec
+from witnesses import _bell_row_sum, bell_table, k_lucas_number, lucas_transform_bell_prefix
 
 
 class TestGammaGoldens:

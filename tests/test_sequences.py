@@ -7,7 +7,8 @@ import pytest
 from linrec import UnknownName, sequences
 from linrec.lucas import lucas_transform
 from linrec.recurrence import seq_range
-from linrec.sequences import catalog_get, catalog_names, catalog_selfcheck
+from linrec.sequences import catalog_get, catalog_names
+from witnesses import catalog_selfcheck
 
 
 class TestSelfCheck:

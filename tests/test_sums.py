@@ -5,20 +5,19 @@ from fractions import Fraction
 import pytest
 
 from linrec import CoeffVector, DegenerateDivisor, DomainError, InvalidCoeffs, Poly, RecurrenceSpec, cli, sums
-from linrec.lucas import lucas_transform, lucas_transform_bell_prefix
+from linrec.lucas import lucas_transform
 from linrec.oracle import companion, mat_pow
 from linrec.progression import gamma_coefficients, subseq_recurrence
 from linrec.recurrence import _jump_from, _stride_terms, seq_eval, seq_range, seq_window
 from linrec.sums import (
     _HALF_JUMP_FROM,
-    invert_partial_sum,
     invert_sequence,
-    lambda_decompose,
     partial_sum_closed,
     partial_sum_form,
     progression_sum,
 )
 from support import matrix_reference, random_spec, squarings, walk_reference, window_products
+from witnesses import evaluate_form, invert_partial_sum, lambda_decompose, lucas_transform_bell_prefix
 
 FIB = RecurrenceSpec(CoeffVector((1, 1)), (0, 1))
 TRIB = RecurrenceSpec(CoeffVector((1, 1, 1)), (0, 0, 1))
@@ -132,7 +131,7 @@ class TestPartialSumValues:
                 running += terms[n]
                 assert partial_sum_closed(spec, n) == running
                 # the form on the look-ahead: int sums this short add up the walked terms instead
-                assert form.evaluate(terms[n + 1 : n + 1 + spec.order]) == running
+                assert evaluate_form(form, terms[n + 1 : n + 1 + spec.order]) == running
             checked += 1
 
     def test_rational_spec(self):
@@ -144,7 +143,7 @@ class TestPartialSumValues:
     def test_evaluate_window_length(self):
         f = partial_sum_form(TRIB)
         with pytest.raises(DomainError):
-            f.evaluate((1, 2))  # needs exactly d lookahead values
+            evaluate_form(f, (1, 2))  # needs exactly d lookahead values
 
 
 class TestInvertTransform:
@@ -315,7 +314,7 @@ class TestFarSums:
             spec, n, m, r = case
             closed = partial_sum_closed(spec, n)
             assert closed == sum(seq_window(spec, 0, n + 1))
-            assert closed == partial_sum_form(spec).evaluate(seq_window(spec, n + 1, spec.order))
+            assert closed == evaluate_form(partial_sum_form(spec), seq_window(spec, n + 1, spec.order))
             if sum(subseq_recurrence(spec, m, r).coeffs.c) == 1:
                 with pytest.raises(DegenerateDivisor):
                     progression_sum(spec, m, r, n)
@@ -360,7 +359,7 @@ class TestWalkedIntSums:
             c, head, n = case
             spec = RecurrenceSpec(CoeffVector(c), head)
             closed = partial_sum_closed(spec, n)
-            by_form = partial_sum_form(spec).evaluate(seq_range(spec, n + 1, n + len(c)))
+            by_form = evaluate_form(partial_sum_form(spec), seq_range(spec, n + 1, n + len(c)))
             by_walk = sum(walk_reference(c, head, 1, 0, n + 1))
             assert closed == by_form == by_walk
             assert type(closed) is type(by_form) is type(by_walk) is int
@@ -431,7 +430,7 @@ class TestProgressionSum:
                 form = partial_sum_form(subseq_recurrence(spec, m, r))
                 for n in range(0, 21):
                     assert progression_sum(spec, m, r, n) == sum(window[: n + 1])
-                    assert form.evaluate(window[n + 1 : n + 1 + d]) == sum(window[: n + 1])
+                    assert evaluate_form(form, window[n + 1 : n + 1 + d]) == sum(window[: n + 1])
             except DegenerateDivisor:
                 continue
             checked += 1
