@@ -13,7 +13,8 @@ an argument outside its domain raises DomainError, which exits 3.
 Each subcommand builds one record of the library's results and prints it
 once.  Every ring value in it is converted once, when the record is built:
 to its JSON payload with --json, else to its text form.  The JSON output is
-the record itself; the text lines are read off that same record.
+the record itself; the text lines are read off that same record and
+written one at a time, never joined into one string.
 """
 
 from __future__ import annotations
@@ -89,7 +90,10 @@ def _spec(args) -> RecurrenceSpec:
 
 def _print_record(args, record: dict, lines) -> None:
     """Print the record: as one JSON object with --json, else as the text lines read off it."""
-    print(json.dumps(record) if args.json else "\n".join(lines(record)))
+    if args.json:
+        print(json.dumps(record))
+    else:
+        sys.stdout.writelines(f"{line}\n" for line in lines(record))
 
 
 def _render(args):
@@ -97,8 +101,8 @@ def _render(args):
     return value_to_json if args.json else _fmt
 
 
-def _indexed(values, start: int) -> list[str]:
-    return [f"{i}\t{v}" for i, v in enumerate(values, start)]
+def _indexed(values, start: int):
+    return (f"{i}\t{v}" for i, v in enumerate(values, start))
 
 
 # ---------------------------------------------------------------------------

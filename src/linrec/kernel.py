@@ -13,7 +13,8 @@ that operator surface and run unchanged in numeric or symbolic mode.  The
 other operand of a Poly must be an int, a Fraction or a Poly over the same
 variables: a float, str, bool or None raises DomainError.  A Poly divides by
 ``/`` as :func:`exact_div` does, so only by a nonzero constant, and has no
-order: ``abs``, ``<``, ``<=``, ``>`` and ``>=`` raise DomainError.  A Poly
+order: ``abs``, ``<``, ``<=``, ``>`` and ``>=`` raise DomainError, as do a
+Poly exponent (``2 ** p``) and a modular power (``pow(p, 2, 5)``).  A Poly
 packs each monomial into one int key, caps every exponent at 2**31 - 1, and
 hands out its terms only as a decoded copy (:attr:`Poly.terms`).  No floating
 point is used anywhere.
@@ -87,7 +88,7 @@ def exact_div(a, n):
     if isinstance(n, Poly):
         if n.total_degree() > 0:
             raise DomainError(f"exact_div needs a constant divisor, got the polynomial {n}")
-        n = n([0] * n.nvars)  # its value, as an int or a Fraction
+        n = n.constant_value()  # its value, as an int or a Fraction
     if isinstance(a, Poly):
         return a * (Fraction(1) / Fraction(n))
     if isinstance(a, int) and isinstance(n, int):
@@ -300,7 +301,9 @@ class Poly:
     def __rtruediv__(self, other):
         return exact_div(self._coerce(other), self)
 
-    def __pow__(self, exponent: int):
+    def __pow__(self, exponent: int, modulo=None):
+        if modulo is not None:
+            raise DomainError("a Poly has no modular power")
         _check_index(exponent, "exponent")
         result = Poly.const(1, self.nvars)
         base = self
@@ -311,6 +314,9 @@ class Poly:
             if exponent:
                 base = base * base
         return result
+
+    def __rpow__(self, base, modulo=None):
+        raise DomainError("a Poly is not an exponent")
 
     def __eq__(self, other):
         if isinstance(other, Poly):

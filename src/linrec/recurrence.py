@@ -294,10 +294,11 @@ def seq_range(spec: RecurrenceSpec, n0: int, n1: int) -> list:
 def seq_eval(spec: RecurrenceSpec, n: int):
     """Single term a_n, in time logarithmic in n for large n.
 
-    Where the engine jumps (:func:`_walks`) this is a half jump; elsewhere
-    the initial terms are walked to a_n.  R = x^(n//2) mod q applied to the
-    initial terms walked to index 2d-1 gives the d terms from a_(n//2) or
-    a_(n//2+1) on, and R applied to those is a_n, so the last step costs d
-    full-size products instead of the d(d+1)/2 of squaring R.
+    One request to the engine: a half jump where it jumps (:func:`_walks`),
+    else a walk to a_n.  R = x^(n//2) mod q applied to the initial terms
+    walked to index 2d-1 gives the d terms from a_(n//2) or a_(n//2+1) on,
+    and R applied to those is a_n, so the last step costs d full-size
+    products instead of the d(d+1)/2 of squaring R.
     """
-    return seq_window(spec, n, 1)[0]
+    _check_index(n, "n")
+    return _stride_terms(spec.coeffs.c, spec.initial, 1, n, 1)[0]

@@ -10,16 +10,19 @@ closed form from d look-ahead terms; when q(1) = 0 no closed form of this
 shape exists (DegenerateDivisor) and callers fall back to direct summation.
 
 The weighted sequence a'_k = sum_j w_j a_{k+j} satisfies the same
-recurrence, so the identity reads S_n = (a'_{n+1} - a'_0) / q(1).  A sum
-takes one of three routes, after q(1) is checked and before any term:
+recurrence, so the identity reads S_n = (a'_{n+1} - a'_0) / q(1), and a sum
+computes that and nothing more: q(1) once, checked before any term, then
+one of three routes:
 
 * walked int sum: on int data whose look-ahead a_{n+1}..a_{n+d} the term
   engine would walk to (:func:`linrec.recurrence._walks`), the walked terms
   a_0..a_n are added up, with d fewer steps and no division;
-* window: below n + d = _HALF_JUMP_FROM the form is applied to that
+* window: below n + d = _HALF_JUMP_FROM the weights are applied to that
   look-ahead window, which the term engine supplies;
-* half jump: from there on a sum is one far term, a half jump from the
-  head a'_0..a'_{d-1}.
+* half jump: from there on a sum is one far term: the engine gives
+  a'_{n+1} straight from the head a'_0..a'_{d-1}.
+
+No sum builds a :class:`SumClosedForm`; the form is for display.
 
 The same machinery applies to arithmetic-progression subsequences: their own
 recurrence (from :mod:`linrec.progression`) is summed the same way, and its
@@ -39,15 +42,7 @@ from dataclasses import dataclass
 
 from .kernel import DomainError, Poly, _check_index, dot, exact_div, ring_const
 from .progression import subseq_recurrence
-from .recurrence import (
-    RecurrenceSpec,
-    _stride_terms,
-    _walks,
-    as_coeff_vector,
-    seq_eval,
-    seq_range,
-    seq_window,
-)
+from .recurrence import RecurrenceSpec, _stride_terms, _walks, as_coeff_vector, seq_range
 
 
 # Where a sum leaves the window for the half jump.  Up to n = 500 the window took
@@ -83,11 +78,12 @@ def _divisor(c: tuple):
     return divisor
 
 
-def _check_divisor(c: tuple) -> None:
-    """Check q(1) for a closed sum to divide by: DegenerateDivisor when it is zero, DomainError when a polynomial."""
+def _check_divisor(c: tuple):
+    """q(1) for a closed sum to divide by: DegenerateDivisor when it is zero, DomainError when a polynomial."""
     divisor = _divisor(c)
     if isinstance(divisor, Poly) and divisor.total_degree() > 0:
         raise DomainError(f"the closed sum divides by q(1) = {divisor}, a polynomial")
+    return divisor
 
 
 def partial_sum_form(spec: RecurrenceSpec) -> SumClosedForm:
@@ -102,7 +98,7 @@ def partial_sum_form(spec: RecurrenceSpec) -> SumClosedForm:
 def partial_sum_closed(spec: RecurrenceSpec, n: int):
     """sum_{j=0..n} a_j in closed form, exactly: (a'_{n+1} - a'_0) / q(1).
 
-    q(1) is checked before any term is computed: zero raises
+    q(1) is computed once and checked before any term: zero raises
     DegenerateDivisor, a non-constant polynomial DomainError.  Then the sum
     takes one of the three routes in the module docstring; the half jump
     forms a'_0..a'_{d-1} from a_0..a_{2d-2}.  Fraction and Poly data never
@@ -110,18 +106,19 @@ def partial_sum_closed(spec: RecurrenceSpec, n: int):
     the sum of a Poly spec's int head terms would come back as an int.
     """
     _check_index(n, "n")
-    _check_divisor(spec.coeffs.c)
+    c = spec.coeffs.c
+    divisor = _check_divisor(c)
     d = spec.order
-    if _walks(d, 1, n + 1, d, False) and set(map(type, spec.coeffs.c + spec.initial)) == {int}:
+    if _walks(d, 1, n + 1, d, False) and set(map(type, c + spec.initial)) == {int}:
         return sum(seq_range(spec, 0, n))
-    form = partial_sum_form(spec)
+    w = _weights(c)
     if n + d < _HALF_JUMP_FROM:
-        ahead = dot(form.weights, seq_range(spec, n + 1, n + d))
+        ahead, start = dot(w, seq_range(spec, n + 1, n + d)), dot(w, spec.initial)
     else:
-        a = seq_window(spec, 0, 2 * d - 1)
-        head = tuple(dot(form.weights, a[k : k + d]) for k in range(d))
-        ahead = seq_eval(RecurrenceSpec(spec.coeffs, head), n + 1)  # a'_k = sum_j w_j a_{k+j}
-    return exact_div(ahead + form.constant, form.divisor)  # ahead = a'_{n+1}
+        a = _stride_terms(c, spec.initial, 1, 0, 2 * d - 1)
+        head = tuple(dot(w, a[k : k + d]) for k in range(d))  # a'_k = sum_j w_j a_{k+j}
+        ahead, start = _stride_terms(c, head, 1, n + 1, 1)[0], head[0]
+    return exact_div(ahead - start, divisor)  # (a'_{n+1} - a'_0) / q(1)
 
 
 def invert_sequence(coeffs, upto: int) -> list:

@@ -285,13 +285,14 @@ class TestPolyInput:
 
     def test_foreign_operands_rejected(self):
         # one rule on both sides of +, - and *: a value outside the ring raises DomainError,
-        # never a bare TypeError, and ints and Fractions act as constants
+        # never a bare TypeError, and ints and Fractions act as constants; on either side of ** too
         x, y = Poly.variables(2)
         p = 2 * x * y - Fraction(1, 3) * x + 5
         for bad in (0.5, "2", None, [1], True):
             for op in (
                 lambda: p + bad, lambda: bad + p, lambda: p - bad,
                 lambda: bad - p, lambda: p * bad, lambda: bad * p,
+                lambda: p ** bad, lambda: bad ** p,
             ):
                 with pytest.raises(DomainError):
                     op()
@@ -311,12 +312,13 @@ class TestPolyInput:
 
     def test_no_order_or_absolute_value(self):
         # a Poly is not ordered, not even a constant one: abs and every comparison raise DomainError
-        # on either side, never a bare TypeError
+        # on either side, never a bare TypeError; nor is it an exponent, nor has it a modular power
         x, y = Poly.variables(2)
         for p in (x * y + 1, Poly.const(3, 2), Poly.const(0, 2)):
             for op in (
                 lambda: abs(p), lambda: p < 1, lambda: 1 < p, lambda: p <= 1, lambda: 1 <= p,
                 lambda: p > 1, lambda: p >= 1, lambda: p < x, lambda: Fraction(1, 2) >= p,
+                lambda: 2 ** p, lambda: Fraction(1, 2) ** p, lambda: x ** p, lambda: pow(p, 2, 5),
             ):
                 with pytest.raises(DomainError):
                     op()

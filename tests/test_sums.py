@@ -259,7 +259,7 @@ class TestSymbolicSums:
         def no_terms(*args):
             raise AssertionError("a term was computed for a sum that cannot be divided out")
 
-        for name in ("seq_range", "seq_window", "seq_eval"):
+        for name in ("seq_range", "_stride_terms"):
             monkeypatch.setattr(sums, name, no_terms)
         start = time.perf_counter()
         with pytest.raises(DomainError):
@@ -291,6 +291,20 @@ class TestFarSums:
                 mulmods.clear()
                 partial_sum_closed(spec, n)
                 assert len(mulmods) == squarings((n + 1) // 2, spec.order), (spec, n)
+
+    def test_formula_only(self, monkeypatch):
+        # every route computes q(1) once and builds neither a SumClosedForm nor a RecurrenceSpec
+        divisors, specs = [], []
+        real_divisor, real_post_init = sums._divisor, RecurrenceSpec.__post_init__
+        monkeypatch.setattr(sums, "_divisor", lambda c: divisors.append(c) or real_divisor(c))
+        monkeypatch.setattr(RecurrenceSpec, "__post_init__", lambda self: specs.append(self) or real_post_init(self))
+        monkeypatch.setattr(sums, "SumClosedForm", None)
+        for spec in self.SPECS:
+            d = spec.order
+            for n in (0, _HALF_JUMP_FROM - d - 1, _HALF_JUMP_FROM - d, 2000):
+                divisors.clear()
+                assert partial_sum_closed(spec, n) == sum(seq_range(spec, 0, n)), (spec, n)
+                assert len(divisors) == 1 and specs == [], (spec, n)
 
     def test_against_direct_sums_property(self):
         hypothesis = pytest.importorskip("hypothesis")
