@@ -16,7 +16,7 @@ from .kernel import (
     value_from_json,
     value_to_json,
 )
-from .recurrence import CoeffVector, InvalidCoeffs, RecurrenceSpec, seq_eval, seq_range, seq_window
+from .recurrence import CoeffVector, InvalidCoeffs, RecurrenceSpec, seq_eval, seq_range
 from .lucas import LucasTransform, lucas_transform
 from .oracle import (
     UNDERDETERMINED,
@@ -42,7 +42,7 @@ from .sums import (
 )
 from .sequences import CatalogEntry, UnknownName, catalog_get, catalog_names
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "CatalogEntry",
@@ -82,7 +82,6 @@ __all__ = [
     "scalar_to_str",
     "seq_eval",
     "seq_range",
-    "seq_window",
     "subseq_recurrence",
     "value_from_json",
     "value_to_json",

@@ -30,6 +30,7 @@ third: ``+``, ``-``, ``*`` and :func:`dot` all run it.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from fractions import Fraction
 from functools import cache, reduce
 import math
@@ -56,11 +57,19 @@ def _check_index(value, name: str, least: int = 0) -> None:
 
 
 def _check_exact(values, what: str, error: type = DomainError) -> tuple:
-    """values as a tuple, after rejecting (with error) any that is not exact: an int, Fraction or Poly, never a bool."""
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise error(f"{what} must be a sequence of exact values, got {values!r}") from None
+    """values as a tuple, after rejecting (with error) any that is not exact: an int, Fraction or Poly, never a bool.
+
+    A set or a mapping is rejected too: it has no order to read terms or
+    coefficients in, and iterating a mapping gives its keys, not its values.
+    """
+    kind = type(values)  # a tuple or a list, the common arguments, skips the ABC test
+    if kind is not tuple:
+        if kind is not list and isinstance(values, (Set, Mapping)):
+            raise error(f"{what} must be an ordered sequence, got the unordered {kind.__name__} {values!r}")
+        try:
+            values = tuple(values)
+        except TypeError:
+            raise error(f"{what} must be a sequence of exact values, got {values!r}") from None
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, Poly, Fraction)):
             raise error(f"{what} must be exact (int, Fraction or Poly), got {v!r}")

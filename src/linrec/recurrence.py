@@ -277,13 +277,6 @@ def _stride_terms(c: tuple, head, m: int, r: int, count: int) -> list:
     return _stride_heads(c, (head,), m, r, count)[0]
 
 
-def seq_window(spec: RecurrenceSpec, n: int, k: int) -> list:
-    """Terms a_n..a_{n+k-1}; where the engine jumps (:func:`_walks`) x^n mod q gives the first d and a walk the rest."""
-    _check_index(n, "n")
-    _check_index(k, "k")
-    return _stride_terms(spec.coeffs.c, spec.initial, 1, n, k)
-
-
 def seq_range(spec: RecurrenceSpec, n0: int, n1: int) -> list:
     """Terms a_{n0}..a_{n1} inclusive: the window of n1 - n0 + 1 terms from a_{n0}."""
     _check_index(n0, "n0")

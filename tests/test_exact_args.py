@@ -20,6 +20,7 @@ from linrec import (
     value_to_json,
 )
 from linrec.oracle import char_poly, fit_recurrence, mat_mul, mat_pow, mat_trace, verify_recurrence
+from linrec.progression import gamma_coefficients
 from linrec.sums import partial_sum_form
 from witnesses import bell_partial, bell_table, bell_truncated3, evaluate_form, k_lucas_number, set_partition_oracle
 
@@ -88,6 +89,12 @@ WRONG_KIND = {
     "char_poly.int": (lambda: char_poly(5), DomainError),
     "char_poly.int-row": (lambda: char_poly([5]), DomainError),
     "mat_mul.int-right": (lambda: mat_mul([[1]], 5), DomainError),
+    # a set or a mapping has no order to read values in, and a mapping iterates its keys
+    "CoeffVector.dict": (lambda: CoeffVector({2: "a", 9: "b"}), InvalidCoeffs),
+    "RecurrenceSpec.initial-set": (lambda: RecurrenceSpec((1, 1), {9, 2}), InvalidCoeffs),
+    "gamma_coefficients.coeffs-frozenset": (lambda: gamma_coefficients(frozenset({3, 1}), 2), InvalidCoeffs),
+    "verify_recurrence.terms-dict": (lambda: verify_recurrence({0: 1, 1: 1, 2: 2}, (1, 1)), DomainError),
+    "Poly.call.set": (lambda: Poly.variables(2)[0]({1, 2}), DomainError),
 }
 
 
@@ -96,3 +103,10 @@ def test_wrong_kind_is_a_library_error(case):
     call, error = WRONG_KIND[case]
     with pytest.raises(error):
         call()
+
+
+def test_ordered_iterables_are_accepted():
+    # only sets and mappings are refused: a generator or a dict's values still give values in order
+    assert CoeffVector(c for c in (1, 1)).c == (1, 1)
+    assert RecurrenceSpec((1, 1), {"a0": 0, "a1": 1}.values()).initial == (0, 1)
+    assert verify_recurrence(iter([1, 1, 2, 4]), (1, 1)) == [3]

@@ -1,8 +1,10 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and README accounts for every export."""
 
 import ast
+import doctest
 import json
 from pathlib import Path
+import re
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "linrec"
+README = TESTS.parent / "README.md"
 # __init__.py imports to re-export
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -236,3 +239,25 @@ def test_version_matches_pyproject():
 
     with open(TESTS.parent / "pyproject.toml", "rb") as f:
         assert tomllib.load(f)["project"]["version"] == linrec.__version__
+
+
+def test_every_export_in_readme():
+    import linrec
+
+    text = README.read_text()
+    assert [name for name in linrec.__all__ if not re.search(rf"(?<!\w){re.escape(name)}(?!\w)", text)] == []
+
+
+def test_readme_quick_start_runs():
+    # the quick start's 12 prompts, run against the package as it stands
+    done = doctest.testfile(str(README), module_relative=False)
+    assert (done.failed, done.attempted) == (0, 12)
+
+
+def test_one_window_call():
+    # seq_range is the one public run of terms: the seq_window wrapper stays deleted
+    import linrec
+    from linrec import recurrence
+
+    assert "seq_window" not in linrec.__all__ and not hasattr(recurrence, "seq_window")
+    assert [p.name for p in [README, *sorted(SRC.glob("*.py"))] if "seq_window" in p.read_text()] == []

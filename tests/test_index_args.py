@@ -8,7 +8,7 @@ from linrec import CoeffVector, DomainError, Poly, RecurrenceSpec
 from linrec.lucas import lucas_transform
 from linrec.oracle import CharPoly, char_poly_of_power, companion, fit_recurrence, mat_pow
 from linrec.progression import gamma_coefficients, subseq_recurrence, verify_slice
-from linrec.recurrence import seq_eval, seq_range, seq_window
+from linrec.recurrence import seq_eval, seq_range
 from linrec.sums import invert_sequence, partial_sum_closed, progression_sum
 from witnesses import (
     bell_partial,
@@ -30,8 +30,6 @@ X = Poly.variable(0, 1)
 # each entry calls one public function with the bad value in one index slot
 ENTRIES = {
     "seq_eval.n": lambda v: seq_eval(FIB, v),
-    "seq_window.n": lambda v: seq_window(FIB, v, 2),
-    "seq_window.k": lambda v: seq_window(FIB, 2, v),
     "seq_range.n0": lambda v: seq_range(FIB, v, 5),
     "seq_range.n1": lambda v: seq_range(FIB, 0, v),
     "gamma_coefficients.m": lambda v: gamma_coefficients((1, 1), v),

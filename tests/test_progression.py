@@ -210,6 +210,42 @@ class TestGammaWitnesses:
                 assert res.monic().all_coeffs() == [1, *(-gi for gi in g)]
 
 
+class TestSlicesCompose:
+    def test_slice_of_a_slice(self):
+        # b(n) = a(m1*n + r1) sliced at m2*n + r2 is a(m1*m2*n + r1 + m1*r2), and gamma composes
+        # the same way, in value and type, over int, Fraction and Poly.variables(d) coefficients
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        ints, fractions = st.integers(-4, 4), st.fractions(-3, 3, max_denominator=5)
+
+        @st.composite
+        def specs(draw):
+            kind = draw(st.sampled_from(["int", "fraction", "mixed", "poly"]))
+            if kind == "poly":  # Poly terms grow fast with the weight d*m
+                d = draw(st.integers(1, 3))
+                return RecurrenceSpec(CoeffVector(Poly.variables(d)), tuple(draw(ints) for _ in range(d)))
+            entries = {"int": ints, "fraction": fractions, "mixed": st.one_of(ints, fractions)}[kind]
+            d = draw(st.integers(1, 5))
+            c = (*(draw(entries) for _ in range(d - 1)), draw(entries.filter(lambda v: v != 0)))
+            return RecurrenceSpec(CoeffVector(c), tuple(draw(entries) for _ in range(d)))
+
+        def types(values):
+            return [type(v) for v in values]
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(specs(), st.integers(1, 5), st.integers(0, 6), st.integers(1, 5), st.integers(0, 6))
+        def check(spec, m1, r1, m2, r2):
+            got = subseq_recurrence(subseq_recurrence(spec, m1, r1), m2, r2)
+            want = subseq_recurrence(spec, m1 * m2, r1 + m1 * r2)
+            assert got == want
+            assert types(got.coeffs.c + got.initial) == types(want.coeffs.c + want.initial)
+            c = spec.coeffs
+            got, want = gamma_coefficients(gamma_coefficients(c, m1).coeffs, m2).gamma, gamma_coefficients(c, m1 * m2).gamma
+            assert got == want and types(got) == types(want)
+
+        check()
+
+
 class TestSubsequence:
     def test_initial_terms(self):
         spec = RecurrenceSpec(CoeffVector((1, 0, 1)), (1, 1, 1))

@@ -10,7 +10,7 @@ from linrec import CoeffVector, DomainError, Poly, RecurrenceSpec, cli, progress
 from linrec.lucas import lucas_transform
 from linrec.oracle import char_poly_of_power, companion, mat_pow, mat_trace
 from linrec.progression import gamma_coefficients, subseq_recurrence
-from linrec.recurrence import _JUMP_CUTOFF, _jump_from, _stride_terms, seq_eval, seq_range, seq_window
+from linrec.recurrence import _JUMP_CUTOFF, _jump_from, _stride_terms, seq_eval, seq_range
 from linrec.sums import invert_sequence, partial_sum_closed, progression_sum
 from support import by_matrix, matrix_reference, random_spec, squarings, walk_reference, window_products
 
@@ -59,7 +59,7 @@ class TestJumpWalkMatrix:
         spec = SPECS[name]
         terms = walk(name)
         for n in indices(name):
-            assert seq_window(spec, n, 4) == terms[n : n + 4]
+            assert seq_range(spec, n, n + 3) == terms[n : n + 4]
             assert seq_eval(spec, n) == terms[n] == by_matrix(spec, n)
 
     @pytest.mark.parametrize("name", sorted(SPECS))
@@ -80,13 +80,20 @@ class TestJumpWalkMatrix:
                 assert seq_eval(spec, n) == walk[n]
 
     def test_short_windows(self):
-        assert seq_window(TRIB, 0, 0) == []
-        assert seq_window(TRIB, 5, 3) == [4, 7, 13]
-        assert seq_range(TRIB, 2000, 2002) == seq_window(TRIB, 2000, 3)
+        assert seq_range(TRIB, 5, 7) == [4, 7, 13]
         assert seq_range(TRIB, 2000, 2010)[-1] == seq_eval(TRIB, 2010)
-        for bad in ((-1, 2), (3, -1)):
+        for bad in ((-1, 0), (3, 1)):
             with pytest.raises(DomainError):
-                seq_window(TRIB, *bad)
+                seq_range(TRIB, *bad)
+
+    def test_empty_request(self, mulmods):
+        # a request for no terms returns at once, with no residue product even where a term would be jumped to
+        c, head = TRIB.coeffs.c, TRIB.initial
+        for r in (5, 10**4):
+            assert _stride_terms(c, head, 1, r, 0) == []
+        # order 1 asks for d - 1 = 0 trace terms: gamma is the sign formula's c_1^m alone
+        assert gamma_coefficients((-2,), 1001).gamma == ((-2) ** 1001,)
+        assert mulmods == []
 
 
 def half_jump_specs():
@@ -240,7 +247,7 @@ class TestRouteRule:
             # the window's d-th term one below and at the limit: x^r mod q, a half jump at d = 1
             for r, want in ((at - d, 0), (at - d + 1, squarings(at // 2 if d == 1 else at - d + 1, d))):
                 mulmods.clear()
-                assert seq_window(spec, r, d) == walked[r : r + d]
+                assert seq_range(spec, r, r + d - 1) == walked[r : r + d]
                 assert len(mulmods) == want, (spec, r)
         mulmods.clear()
         for name in ("poly-d1", "poly-d2", "poly-d2-mixed"):
@@ -355,7 +362,7 @@ class TestSharedChain:
 
 
 class TestOneWindowRoute:
-    """seq_range and seq_window are one route: x^n mod q gives a window's first d terms, a walk the rest."""
+    """seq_range takes one route: x^n mod q gives a window's first d terms, a walk the rest."""
 
     def test_against_walk_property(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -390,8 +397,8 @@ class TestOneWindowRoute:
         def check(case):
             spec, n0, k = case
             want = recurrence._extend(spec.coeffs.c, list(spec.initial), n0 + k - 1)[n0 : n0 + k]
-            for got in (seq_range(spec, n0, n0 + k - 1), seq_window(spec, n0, k)):
-                assert got == want and list(map(type, got)) == list(map(type, want))
+            got = seq_range(spec, n0, n0 + k - 1)
+            assert got == want and list(map(type, got)) == list(map(type, want))
 
         check()
 
@@ -399,7 +406,7 @@ class TestOneWindowRoute:
         # a product by the zero Poly is a Poly on every route, as it is in the walk
         spec = RecurrenceSpec(CoeffVector((Poly(1), 1)), (0, 1))
         want = recurrence._extend(spec.coeffs.c, list(spec.initial), 302)[300:]
-        got = [seq_window(spec, 300, 3), seq_range(spec, 300, 302), [seq_eval(spec, n) for n in (300, 301, 302)]]
+        got = [seq_range(spec, 300, 302), [seq_eval(spec, n) for n in (300, 301, 302)]]
         for terms in got:
             assert terms == want and all(type(t) is Poly for t in terms)
         # a chain from an offset inside the head returns the head's own value there
@@ -412,7 +419,7 @@ class TestOneWindowRoute:
         c, head = (Poly(1),) * (d - 1) + (1,), tuple(range(d))
         spec = RecurrenceSpec(CoeffVector(c), head)
         want = recurrence._extend(c, list(head), d + 1)[_JUMP_CUTOFF:]
-        got = seq_window(spec, _JUMP_CUTOFF, 6)
+        got = seq_range(spec, _JUMP_CUTOFF, _JUMP_CUTOFF + 5)
         assert got == want and list(map(type, got)) == [int] * 4 + [Poly] * 2
         assert type(seq_eval(spec, _JUMP_CUTOFF + 1)) is int
 
@@ -437,11 +444,10 @@ class TestOneWindowRoute:
 
         monkeypatch.setattr(recurrence, "_shifted", guarded)
         n, k = 10**5, 5000
-        terms = seq_window(TRIB, n, k)
-        assert terms == seq_range(TRIB, n, n + k - 1)
+        terms = seq_range(TRIB, n, n + k - 1)
         assert [terms[0], terms[k // 2], terms[-1]] == [seq_eval(TRIB, i) for i in (n, n + k // 2, n + k - 1)]
         for name in ("int-d5", "fraction-d3", "poly-d2"):
-            assert seq_window(SPECS[name], _JUMP_CUTOFF, 8) == walk(name)[_JUMP_CUTOFF : _JUMP_CUTOFF + 8]
+            assert seq_range(SPECS[name], _JUMP_CUTOFF, _JUMP_CUTOFF + 7) == walk(name)[_JUMP_CUTOFF : _JUMP_CUTOFF + 8]
         assert lucas_transform((1, 1), 600).terms[-1] == mat_trace(mat_pow(companion((1, 1)), 600))
 
 
@@ -526,10 +532,10 @@ class TestRationalLift:
         assert walked[:2] == list(head) and [type(t) for t in walked] == [int] + [Fraction] * 4
         jumped = _stride_terms(c, head, 600, 0, 2)
         assert jumped[0] == 0 and [type(t) for t in jumped] == [int, Fraction]
-        assert all(type(t) is Fraction for t in seq_window(spec, 600, 4))
+        assert all(type(t) is Fraction for t in seq_range(spec, 600, 603))
         # integer data stays integer, walked and jumped
         for start in (0, 600):
-            assert all(type(t) is int for t in seq_window(SPECS["int-d3"], start, 5))
+            assert all(type(t) is int for t in seq_range(SPECS["int-d3"], start, start + 4))
             assert all(type(t) is int for t in _stride_terms((1, 1), (0, 1), 3, start, 4))
 
 
@@ -573,7 +579,7 @@ class TestRationalSpecsStayIntegral:
     def test_calls(self, no_fractions, n):
         spec = self.SPEC
         assert seq_eval(spec, n) == by_matrix(spec, n)
-        assert partial_sum_closed(spec, n) == sum(seq_window(spec, 0, n + 1))
+        assert partial_sum_closed(spec, n) == sum(seq_range(spec, 0, n))
         m = max(n // 2, 1)
         gv = gamma_coefficients(spec.coeffs, m)
         assert gv.coeffs == char_poly_of_power(spec.coeffs, m)
@@ -583,7 +589,7 @@ class TestRationalSpecsStayIntegral:
         assert progression.verify_slice(spec, m, 3, depth=8).passed
         # windows, trace terms and the inverse sequence walk lifted too
         terms = seq_range(spec, 0, n)
-        assert terms == seq_window(spec, 0, n + 1) and terms[-1] == by_matrix(spec, n)
+        assert terms[-1] == by_matrix(spec, n)
         hats = lucas_transform(spec.coeffs, n).terms
         assert len(hats) == n + 1 and hats[-1] == mat_trace(mat_pow(companion(spec.coeffs), n))
         y = invert_sequence(spec.coeffs, n)

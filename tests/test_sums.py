@@ -8,7 +8,7 @@ from linrec import CoeffVector, DegenerateDivisor, DomainError, InvalidCoeffs, P
 from linrec.lucas import lucas_transform
 from linrec.oracle import companion, mat_pow
 from linrec.progression import gamma_coefficients, subseq_recurrence
-from linrec.recurrence import _jump_from, _stride_terms, seq_eval, seq_range, seq_window
+from linrec.recurrence import _jump_from, _stride_terms, seq_eval, seq_range
 from linrec.sums import (
     _HALF_JUMP_FROM,
     invert_sequence,
@@ -327,13 +327,13 @@ class TestFarSums:
         def check(case):
             spec, n, m, r = case
             closed = partial_sum_closed(spec, n)
-            assert closed == sum(seq_window(spec, 0, n + 1))
-            assert closed == evaluate_form(partial_sum_form(spec), seq_window(spec, n + 1, spec.order))
+            assert closed == sum(seq_range(spec, 0, n))
+            assert closed == evaluate_form(partial_sum_form(spec), seq_range(spec, n + 1, n + spec.order))
             if sum(subseq_recurrence(spec, m, r).coeffs.c) == 1:
                 with pytest.raises(DegenerateDivisor):
                     progression_sum(spec, m, r, n)
             else:
-                assert progression_sum(spec, m, r, n) == sum(seq_window(spec, 0, m * n + r + 1)[r::m])
+                assert progression_sum(spec, m, r, n) == sum(seq_range(spec, 0, m * n + r)[r::m])
 
         check()
 
