@@ -42,7 +42,7 @@ from .sums import (
 )
 from .sequences import CatalogEntry, UnknownName, catalog_get, catalog_names
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "CatalogEntry",

@@ -26,6 +26,10 @@ Poly term order.  The residue products of ``recurrence._mulmod`` and
 Poly arithmetic is :meth:`Poly._factor`, the other operand's term dict, and
 :func:`_accumulate`, the one loop that adds a product of term dicts into a
 third: ``+``, ``-``, ``*`` and :func:`dot` all run it.
+
+The library's result values (coefficient vectors, specs, gamma vectors,
+reports, closed forms, catalog entries) are immutable :class:`Record`
+subclasses, not dataclasses, so importing linrec loads no ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from collections.abc import Mapping, Set
 from fractions import Fraction
 from functools import cache, reduce
 import math
-from operator import mul, or_
+from operator import attrgetter, mul, or_
 
 
 class DivisionNotExact(ArithmeticError):
@@ -74,6 +78,47 @@ def _check_exact(values, what: str, error: type = DomainError) -> tuple:
         if isinstance(v, bool) or not isinstance(v, (int, Poly, Fraction)):
             raise error(f"{what} must be exact (int, Fraction or Poly), got {v!r}")
     return values
+
+
+class Record:
+    """Base of the library's result values: immutable records of named fields.
+
+    A subclass lists its fields as class annotations, in order, and its own
+    ``__init__`` sets each once, in that order, by writing ``self.__dict__``.
+    Two records are equal when their class and their fields are; a record
+    hashes by its fields, prints as ``Name(field=value, ...)`` and matches a
+    positional ``case`` pattern field by field.  Assigning or deleting an
+    attribute raises AttributeError.  The fields live in ``__dict__``, so
+    pickle and ``copy`` need no hooks; a copy with changes is a constructor call.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        if not names:  # a subclass that lists no fields keeps its parent's
+            return
+        values = attrgetter(*names)
+
+        def __hash__(self):  # a closure, not a class lookup: as fast as a dataclass hash of one field
+            return hash(values(self))
+
+        cls.__match_args__ = names
+        cls.__hash__ = __hash__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot delete {name!r}")
 
 
 #: Values usable as recurrence data in numeric mode.

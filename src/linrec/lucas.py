@@ -14,9 +14,7 @@ The classical examples: coefficients (1,1) give the Lucas numbers
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .kernel import Poly, _check_index, _dot_for, ring_const
+from .kernel import Poly, Record, _check_index, _dot_for, ring_const
 from .recurrence import CoeffVector, _stride_terms, as_coeff_vector
 
 
@@ -32,12 +30,16 @@ def _trace_head(c: tuple) -> tuple:
     return tuple(terms)
 
 
-@dataclass(frozen=True)
-class LucasTransform:
+class LucasTransform(Record):
     """Coefficients plus their trace terms hat_0..hat_N."""
 
     coeffs: CoeffVector
     terms: tuple
+
+    def __init__(self, coeffs, terms):
+        fields = self.__dict__
+        fields["coeffs"] = coeffs
+        fields["terms"] = terms
 
 
 def lucas_transform(coeffs, upto: int) -> LucasTransform:

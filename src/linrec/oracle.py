@@ -14,13 +14,12 @@ division-free and therefore runs unchanged over the polynomial domain.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 import math
 from operator import mul
 
-from .kernel import DomainError, Poly, _check_exact, _check_index, _clear_denominators, _dot_for, _lower
+from .kernel import DomainError, Poly, Record, _check_exact, _check_index, _clear_denominators, _dot_for, _lower
 from .recurrence import CoeffVector, as_coeff_vector
 
 
@@ -106,17 +105,16 @@ def mat_trace(mat: list[list]):
     return sum(mat[i][i] for i in range(n))
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(Record):
     """det(tI - M) stored as coefficients p_0..p_d, ascending; p_d = 1."""
 
     coeffs: tuple
 
-    def __post_init__(self):
-        coeffs = _check_exact(self.coeffs, "characteristic polynomial coefficients")
+    def __init__(self, coeffs):
+        coeffs = _check_exact(coeffs, "characteristic polynomial coefficients")
         if not coeffs or coeffs[-1] != 1:
             raise DomainError("characteristic polynomial must be monic")
-        object.__setattr__(self, "coeffs", coeffs)
+        self.__dict__["coeffs"] = coeffs
 
     @property
     def degree(self) -> int:

@@ -18,9 +18,7 @@ integer-coefficient polynomials) with an assertion, never by rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .kernel import DomainError, Poly, _check_index, _dot_for, exact_div, lower_like, ring_const
+from .kernel import DomainError, Poly, Record, _check_index, _dot_for, exact_div, lower_like, ring_const
 from .lucas import _trace_head
 from .oracle import UNDERDETERMINED, NoSolution, char_poly_of_power, fit_recurrence, verify_recurrence
 from .recurrence import CoeffVector, RecurrenceSpec, _stride_heads, _stride_terms, as_coeff_vector
@@ -29,12 +27,16 @@ from .recurrence import CoeffVector, RecurrenceSpec, _stride_heads, _stride_term
 _MAX_DEPTH = 10_000
 
 
-@dataclass(frozen=True)
-class GammaVector:
+class GammaVector(Record):
     """Subsequence coefficients for stride m, as a CoeffVector plus the stride."""
 
     m: int
     coeffs: CoeffVector
+
+    def __init__(self, m, coeffs):
+        fields = self.__dict__
+        fields["m"] = m
+        fields["coeffs"] = coeffs
 
     @property
     def gamma(self) -> tuple:
@@ -100,8 +102,7 @@ def subseq_recurrence(spec: RecurrenceSpec, m: int, r: int) -> RecurrenceSpec:
     return RecurrenceSpec(_gamma_from_hats(cv, m, hats).coeffs, (window[0], *ahead))
 
 
-@dataclass(frozen=True)
-class SliceReport:
+class SliceReport(Record):
     """How the slice b_n = a_{mn+r} fared against gamma, checked four ways.
 
     gamma is the Newton route over trace terms, already cross-checked against
@@ -119,6 +120,16 @@ class SliceReport:
     charpoly_agree: bool
     violations: tuple
     fit: str
+
+    def __init__(self, m, r, depth, gamma, charpoly_agree, violations, fit):
+        fields = self.__dict__
+        fields["m"] = m
+        fields["r"] = r
+        fields["depth"] = depth
+        fields["gamma"] = gamma
+        fields["charpoly_agree"] = charpoly_agree
+        fields["violations"] = violations
+        fields["fit"] = fit
 
     @property
     def passed(self) -> bool:

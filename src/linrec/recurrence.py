@@ -21,12 +21,11 @@ walking and jumping, by the one rule in :func:`_walks`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import mul
 
-from .kernel import Poly, _check_exact, _check_index, _clear_denominators, _dot_for, _poly_dot
+from .kernel import Poly, Record, _check_exact, _check_index, _clear_denominators, _dot_for, _poly_dot
 
 
 class InvalidCoeffs(ValueError):
@@ -38,20 +37,19 @@ def _check_one_ring(values, what: str) -> None:
         raise InvalidCoeffs(f"{what} mix polynomials over different variable sets")
 
 
-@dataclass(frozen=True)
-class CoeffVector:
+class CoeffVector(Record):
     """Recurrence coefficients c_1..c_d with c_d != 0."""
 
     c: tuple
 
-    def __post_init__(self):
-        c = _check_exact(self.c, "coefficients", InvalidCoeffs)
+    def __init__(self, c):
+        c = _check_exact(c, "coefficients", InvalidCoeffs)
         if not c:
             raise InvalidCoeffs("a recurrence needs at least one coefficient")
         if c[-1] == 0:
             raise InvalidCoeffs("trailing coefficient c_d must be nonzero")
         _check_one_ring(c, "coefficients")
-        object.__setattr__(self, "c", c)
+        self.__dict__["c"] = c
 
     @property
     def d(self) -> int:
@@ -65,24 +63,24 @@ def as_coeff_vector(coeffs) -> CoeffVector:
     return CoeffVector(coeffs)
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class RecurrenceSpec(Record):
     """A coefficient vector plus matching initial terms a_0..a_{d-1}."""
 
     coeffs: CoeffVector
     initial: tuple
 
-    def __post_init__(self):
-        coeffs = as_coeff_vector(self.coeffs)
-        initial = _check_exact(self.initial, "initial terms", InvalidCoeffs)
+    def __init__(self, coeffs, initial):
+        coeffs = as_coeff_vector(coeffs)
+        initial = _check_exact(initial, "initial terms", InvalidCoeffs)
         if len(initial) != coeffs.d:
             raise InvalidCoeffs(
                 f"{coeffs.d} coefficients need exactly {coeffs.d} initial terms, "
                 f"got {len(initial)}"
             )
         _check_one_ring(coeffs.c + initial, "coefficients and initial terms")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "initial", initial)
+        fields = self.__dict__
+        fields["coeffs"] = coeffs
+        fields["initial"] = initial
 
     @property
     def order(self) -> int:

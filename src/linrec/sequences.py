@@ -10,13 +10,12 @@ are generated on demand within documented parameter bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import functools
 from importlib import resources
 import json
 import re
 
-from .kernel import scalar_from_str
+from .kernel import Record, scalar_from_str
 from .recurrence import CoeffVector, RecurrenceSpec, seq_range
 
 
@@ -24,14 +23,28 @@ class UnknownName(ValueError):
     """The catalog has no entry (and no family) under the requested name."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
+    """A named sequence: its recurrence and its first terms as the catalog records them.
+
+    oeis is the OEIS number where known; hat_of names the entry whose trace
+    sequence this one is, or is None; prefix holds the stored terms a_0, a_1, ...
+    """
+
     name: str
     oeis: str | None
     spec: RecurrenceSpec
     prefix: tuple
     hat_of: str | None
     notes: str
+
+    def __init__(self, name, oeis, spec, prefix, hat_of, notes):
+        fields = self.__dict__
+        fields["name"] = name
+        fields["oeis"] = oeis
+        fields["spec"] = spec
+        fields["prefix"] = prefix
+        fields["hat_of"] = hat_of
+        fields["notes"] = notes
 
 
 _PREFIX_LEN = 20

@@ -38,9 +38,7 @@ over shifts of y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .kernel import DomainError, Poly, _check_index, dot, exact_div, ring_const
+from .kernel import DomainError, Poly, Record, _check_index, dot, exact_div, ring_const
 from .progression import subseq_recurrence
 from .recurrence import RecurrenceSpec, _stride_terms, _walks, as_coeff_vector, seq_range
 
@@ -61,13 +59,18 @@ def _weights(c: tuple) -> list:
     return [sum(c[: d - 1 - j]) - 1 for j in range(d)]
 
 
-@dataclass(frozen=True)
-class SumClosedForm:
+class SumClosedForm(Record):
     """Exact closed form: sum_{j<=n} a_j = (sum_j weights[j]*a_{n+j+1} + constant) / divisor."""
 
     divisor: object
     weights: tuple
     constant: object
+
+    def __init__(self, divisor, weights, constant):
+        fields = self.__dict__
+        fields["divisor"] = divisor
+        fields["weights"] = weights
+        fields["constant"] = constant
 
 
 def _divisor(c: tuple):

@@ -1,4 +1,4 @@
-"""Compare closed sums and single terms across two checkouts of linrec.
+"""Compare closed sums, single terms and result records across two checkouts of linrec.
 
     python tests/cross_version.py OLD_SRC NEW_SRC
 
@@ -13,6 +13,10 @@ The cases are ``partial_sum_closed``, ``progression_sum`` and ``seq_eval``
 on int, Fraction and constant-q(1) Poly specs at d = 1..8, with n on both
 sides of the engine's walk-or-jump edge (8d + 24 for int and Fraction data,
 256 for Poly data) and of ``sums._HALF_JUMP_FROM``, plus a few far n.
+Before them come the result records: the type and ``repr`` of one record
+of each class from a fixed set of calls, with each record's record fields,
+then for every pair of them whether they are ``==`` and whether their hashes
+are equal.
 """
 
 from __future__ import annotations
@@ -72,8 +76,47 @@ def indices(d: int, poly: bool, far: bool) -> list:
     return sorted(n for n in ns if n >= 0)
 
 
+def records() -> list:
+    """(label, record) for one record of each result class and the records they hold."""
+    from linrec import (
+        Poly, RecurrenceSpec, catalog_get, char_poly, gamma_coefficients, lucas_transform, partial_sum_form,
+        subseq_recurrence, verify_slice,
+    )
+    from linrec.oracle import companion
+
+    spec = RecurrenceSpec((1, 0, 1), (1, 1, 1))
+    x = Poly.variable(0, 1)
+    calls = [
+        ("gamma_coefficients", gamma_coefficients((1, 0, 1), 3)),
+        ("gamma_coefficients poly", gamma_coefficients((x, 1), 2)),
+        ("subseq_recurrence", subseq_recurrence(spec, 3, 2)),
+        ("verify_slice", verify_slice(spec, 3, 2, 12)),
+        ("lucas_transform", lucas_transform((1, 1), 8)),
+        ("partial_sum_form", partial_sum_form(RecurrenceSpec((Fraction(1, 2), 3), (1, Fraction(2, 3))))),
+        ("char_poly", char_poly(companion((1, 1, 1)))),
+        ("catalog fixed", catalog_get("fibonacci")),
+        ("catalog family", catalog_get("k_fibonacci(1)")),
+    ]
+    out = []
+    for label, record in calls:
+        out.append((label, record))
+        out += [(f"{label}.{name}", value) for name, value in vars(record).items() if hasattr(value, "__match_args__")]
+    return out
+
+
+def dump_records() -> None:
+    labelled = records()
+    for label, record in labelled:
+        print(f"record {label} -> {type(record).__name__} {record!r}")
+    for i, (a, x) in enumerate(labelled):
+        for b, y in labelled[i + 1:]:
+            print(f"relation {a} / {b}: == {x == y}, hash equal {hash(x) == hash(y)}")
+
+
 def dump() -> None:
     from linrec import partial_sum_closed, progression_sum, recurrence, seq_eval
+
+    dump_records()
 
     calls = []
     real = recurrence._mulmod

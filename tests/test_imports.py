@@ -216,18 +216,26 @@ WITNESSES = {
 LOADED_CODE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
 import linrec, linrec.cli
-print(json.dumps({"modules": sorted(m for m in sys.modules if m.startswith("linrec")), "all": linrec.__all__}))
+linrec.catalog_get("fibonacci")
+print(json.dumps({"added": sorted(set(sys.modules) - before), "all": linrec.__all__}))
 """
 
 
-def test_witnesses_stay_out_of_the_package():
-    # a fresh interpreter that imports the library and its CLI loads no Bell module and exports no witness
+def fresh_import() -> dict:
+    """What a fresh interpreter adds to sys.modules by importing linrec and its CLI and reading the catalog."""
     done = subprocess.run(
         [sys.executable, "-I", "-c", LOADED_CODE, str(SRC.parent)],
         capture_output=True, text=True, check=True, timeout=60,
     )
-    loaded = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_witnesses_stay_out_of_the_package():
+    # a fresh interpreter that imports the library and its CLI loads no Bell module and exports no witness
+    loaded = fresh_import()
+    loaded["modules"] = [m for m in loaded["added"] if m.startswith("linrec")]
     assert "linrec.cli" in loaded["modules"]
     assert "linrec.bell" not in loaded["modules"]
     assert not WITNESSES & set(loaded["all"])
@@ -261,3 +269,25 @@ def test_one_window_call():
 
     assert "seq_window" not in linrec.__all__ and not hasattr(recurrence, "seq_window")
     assert [p.name for p in [README, *sorted(SRC.glob("*.py"))] if "seq_window" in p.read_text()] == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of every module source imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imported_modules_found():
+    source = "import os.path\nfrom dataclasses import dataclass\nfrom .kernel import Poly\n"
+    assert imported_modules(source) == {"os", "dataclasses"}
+
+
+def test_small_import_footprint():
+    # the result classes are plain records: starting linrec loads neither dataclasses nor the inspect it pulls in
+    assert [p.name for p in sorted(SRC.glob("*.py")) if "dataclasses" in imported_modules(p.read_text())] == []
+    assert {"dataclasses", "inspect"} & set(fresh_import()["added"]) == set()

@@ -1,10 +1,9 @@
-from dataclasses import replace
 import json
 from importlib import resources
 
 import pytest
 
-from linrec import UnknownName, sequences
+from linrec import CatalogEntry, UnknownName, sequences
 from linrec.lucas import lucas_transform
 from linrec.recurrence import seq_range
 from linrec.sequences import catalog_get, catalog_names
@@ -20,10 +19,10 @@ class TestSelfCheck:
         fixed = sequences._load_fixed()
         fib, k_lucas = fixed["fibonacci"], catalog_get("k_lucas(2)")
         broken = {
-            "short": replace(fib, name="short", prefix=fib.prefix[:14]),
-            "off": replace(fib, name="off", prefix=fib.prefix[:5] + (9,) + fib.prefix[6:]),
-            "pell_hat": replace(k_lucas, name="pell_hat", hat_of="fibonacci"),
-            "fib_hat": replace(fib, name="fib_hat", hat_of="fibonacci"),
+            "short": CatalogEntry("short", fib.oeis, fib.spec, fib.prefix[:14], fib.hat_of, fib.notes),
+            "off": CatalogEntry("off", fib.oeis, fib.spec, fib.prefix[:5] + (9,) + fib.prefix[6:], fib.hat_of, fib.notes),
+            "pell_hat": CatalogEntry("pell_hat", k_lucas.oeis, k_lucas.spec, k_lucas.prefix, "fibonacci", k_lucas.notes),
+            "fib_hat": CatalogEntry("fib_hat", fib.oeis, fib.spec, fib.prefix, "fibonacci", fib.notes),
         }
         monkeypatch.setattr(sequences, "_load_fixed", lambda: {**fixed, **broken})
         assert catalog_selfcheck() == [

@@ -295,9 +295,9 @@ class TestFarSums:
     def test_formula_only(self, monkeypatch):
         # every route computes q(1) once and builds neither a SumClosedForm nor a RecurrenceSpec
         divisors, specs = [], []
-        real_divisor, real_post_init = sums._divisor, RecurrenceSpec.__post_init__
+        real_divisor, real_init = sums._divisor, RecurrenceSpec.__init__
         monkeypatch.setattr(sums, "_divisor", lambda c: divisors.append(c) or real_divisor(c))
-        monkeypatch.setattr(RecurrenceSpec, "__post_init__", lambda self: specs.append(self) or real_post_init(self))
+        monkeypatch.setattr(RecurrenceSpec, "__init__", lambda self, *a, **k: specs.append((a, k)) or real_init(self, *a, **k))
         monkeypatch.setattr(sums, "SumClosedForm", None)
         for spec in self.SPECS:
             d = spec.order
