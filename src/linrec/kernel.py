@@ -632,7 +632,7 @@ def scalar_from_str(text: str) -> Scalar:
     try:
         num, slash, den = text.strip().partition("/")
         return _lower(Fraction(int(num), int(den))) if slash else int(num)
-    except (AttributeError, ValueError, ZeroDivisionError):
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError):
         raise DomainError(f"expected a decimal integer or p/q with q != 0, got {text!r}") from None
 
 

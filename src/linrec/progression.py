@@ -21,7 +21,7 @@ from __future__ import annotations
 from .kernel import DomainError, Poly, Record, _check_index, _dot_for, exact_div, lower_like, ring_const
 from .lucas import _trace_head
 from .oracle import UNDERDETERMINED, NoSolution, char_poly_of_power, fit_recurrence, verify_recurrence
-from .recurrence import CoeffVector, RecurrenceSpec, _stride_heads, _stride_terms, as_coeff_vector
+from .recurrence import CoeffVector, RecurrenceSpec, _check_spec, _stride_heads, _stride_terms, as_coeff_vector
 
 #: Most slice terms verify_slice checks: the direct check and the re-fit grow with it.
 _MAX_DEPTH = 10_000
@@ -94,6 +94,7 @@ def subseq_recurrence(spec: RecurrenceSpec, m: int, r: int) -> RecurrenceSpec:
     hat_m..hat_{(d-1)m}, and applied to the window a_r..a_{r+d-1} it gives
     the initial terms a_{m+r}, ..., a_{(d-1)m+r}.  The relation holds for n >= d.
     """
+    _check_spec(spec)
     _check_index(r, "r")
     _check_index(m, "m", 1)
     cv = spec.coeffs
@@ -155,6 +156,7 @@ def verify_slice(spec: RecurrenceSpec, m: int, r: int = 0, depth: int = 40) -> S
     depth runs 1..10000.  The direct check covers slice indices d..depth-1,
     so it needs depth > d; the re-fit needs depth >= 2d.
     """
+    _check_spec(spec)
     _check_index(m, "m", 1)
     _check_index(r, "r")
     _check_index(depth, "depth", 1)

@@ -87,6 +87,13 @@ class RecurrenceSpec(Record):
         return self.coeffs.d
 
 
+def _check_spec(spec) -> RecurrenceSpec:
+    """spec itself if it is a RecurrenceSpec, else InvalidCoeffs: each public call taking a spec checks it first."""
+    if not isinstance(spec, RecurrenceSpec):
+        raise InvalidCoeffs(f"expected a RecurrenceSpec, got {type(spec).__name__}")
+    return spec
+
+
 def _extend(c: tuple, terms: list, upto: int, poly: bool = False) -> list:
     """Grow a list holding at least len(c) terms in place by the recurrence c to index upto.
 
@@ -277,6 +284,7 @@ def _stride_terms(c: tuple, head, m: int, r: int, count: int) -> list:
 
 def seq_range(spec: RecurrenceSpec, n0: int, n1: int) -> list:
     """Terms a_{n0}..a_{n1} inclusive: the window of n1 - n0 + 1 terms from a_{n0}."""
+    _check_spec(spec)
     _check_index(n0, "n0")
     _check_index(n1, "n1", n0)
     return _stride_terms(spec.coeffs.c, spec.initial, 1, n0, n1 - n0 + 1)
@@ -291,5 +299,6 @@ def seq_eval(spec: RecurrenceSpec, n: int):
     and R applied to those is a_n, so the last step costs d full-size
     products instead of the d(d+1)/2 of squaring R.
     """
+    _check_spec(spec)
     _check_index(n, "n")
     return _stride_terms(spec.coeffs.c, spec.initial, 1, n, 1)[0]

@@ -7,12 +7,13 @@ Summing the defining relation telescopes into the identity
 where q(t) = 1 - c_1 t - ... - c_d t^d and w_j = sum_{i=0..d-1-j} c_i with
 the convention c_0 = -1.  When q(1) != 0 this solves the partial sum in
 closed form from d look-ahead terms; when q(1) = 0 no closed form of this
-shape exists (DegenerateDivisor) and callers fall back to direct summation.
+shape exists, and the sums raise DegenerateDivisor (``linrec sum`` and
+``subsum`` exit 4).
 
 The weighted sequence a'_k = sum_j w_j a_{k+j} satisfies the same
 recurrence, so the identity reads S_n = (a'_{n+1} - a'_0) / q(1), and a sum
 computes that and nothing more: q(1) once, checked before any term, then
-one of three routes:
+one request to the term engine, on one of three routes:
 
 * walked int sum: on int data whose look-ahead a_{n+1}..a_{n+d} the term
   engine would walk to (:func:`linrec.recurrence._walks`), the walked terms
@@ -20,7 +21,10 @@ one of three routes:
 * window: below n + d = _HALF_JUMP_FROM the weights are applied to that
   look-ahead window, which the term engine supplies;
 * half jump: from there on a sum is one far term: the engine gives
-  a'_{n+1} straight from the head a'_0..a'_{d-1}.
+  a'_{n+1} straight from the head a'_0..a'_{d-1}.  Since
+  S_k - S_{k-1} = a_k, the identity gives a'_{k+1} = a'_k + q(1) a_k, so
+  that head is a running sum over the initial terms, with no term asked of
+  the engine.
 
 No sum builds a :class:`SumClosedForm`; the form is for display.
 
@@ -38,9 +42,11 @@ over shifts of y.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .kernel import DomainError, Poly, Record, _check_index, dot, exact_div, ring_const
 from .progression import subseq_recurrence
-from .recurrence import RecurrenceSpec, _stride_terms, _walks, as_coeff_vector, seq_range
+from .recurrence import RecurrenceSpec, _check_spec, _stride_terms, _walks, as_coeff_vector, seq_range
 
 
 # Where a sum leaves the window for the half jump.  Up to n = 500 the window took
@@ -91,11 +97,9 @@ def _check_divisor(c: tuple):
 
 def partial_sum_form(spec: RecurrenceSpec) -> SumClosedForm:
     """Build the closed form for a spec; DegenerateDivisor when q(1) = 0."""
-    c = spec.coeffs.c
-    divisor = _divisor(c)
+    c = _check_spec(spec).coeffs.c
     weights = _weights(c)
-    constant = -dot(weights, spec.initial)
-    return SumClosedForm(divisor=divisor, weights=tuple(weights), constant=constant)
+    return SumClosedForm(divisor=_divisor(c), weights=tuple(weights), constant=-dot(weights, spec.initial))
 
 
 def partial_sum_closed(spec: RecurrenceSpec, n: int):
@@ -103,24 +107,25 @@ def partial_sum_closed(spec: RecurrenceSpec, n: int):
 
     q(1) is computed once and checked before any term: zero raises
     DegenerateDivisor, a non-constant polynomial DomainError.  Then the sum
-    takes one of the three routes in the module docstring; the half jump
-    forms a'_0..a'_{d-1} from a_0..a_{2d-2}.  Fraction and Poly data never
+    takes one of the three routes in the module docstring, each one request
+    to the term engine; the half jump builds a'_0..a'_{d-1} from the initial
+    terms alone, by a'_{k+1} = a'_k + q(1) a_k.  Fraction and Poly data never
     take the walked sum: each rational term read off alone costs a gcd, and
     the sum of a Poly spec's int head terms would come back as an int.
     """
+    c = _check_spec(spec).coeffs.c
     _check_index(n, "n")
-    c = spec.coeffs.c
     divisor = _check_divisor(c)
     d = spec.order
     if _walks(d, 1, n + 1, d, False) and set(map(type, c + spec.initial)) == {int}:
         return sum(seq_range(spec, 0, n))
     w = _weights(c)
+    start = dot(w, spec.initial)  # a'_0 = sum_j w_j a_j
     if n + d < _HALF_JUMP_FROM:
-        ahead, start = dot(w, seq_range(spec, n + 1, n + d)), dot(w, spec.initial)
-    else:
-        a = _stride_terms(c, spec.initial, 1, 0, 2 * d - 1)
-        head = tuple(dot(w, a[k : k + d]) for k in range(d))  # a'_k = sum_j w_j a_{k+j}
-        ahead, start = _stride_terms(c, head, 1, n + 1, 1)[0], head[0]
+        ahead = dot(w, seq_range(spec, n + 1, n + d))
+    else:  # the head a'_0..a'_{d-1} by a'_{k+1} = a'_k + q(1) a_k
+        head = tuple(accumulate((divisor * a for a in spec.initial[:-1]), initial=start))
+        ahead = _stride_terms(c, head, 1, n + 1, 1)[0]
     return exact_div(ahead - start, divisor)  # (a'_{n+1} - a'_0) / q(1)
 
 
@@ -147,6 +152,7 @@ def progression_sum(spec: RecurrenceSpec, m: int, r: int, n: int):
     DomainError, as in :func:`partial_sum_closed`, even where some Q(w^j)
     vanishes and the slice's divisor is zero.
     """
+    _check_spec(spec)
     _check_index(m, "m", 1)
     _check_index(r, "r")
     _check_index(n, "n")

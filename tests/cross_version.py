@@ -3,11 +3,19 @@
     python tests/cross_version.py OLD_SRC NEW_SRC
 
 runs itself once per source tree, in a fresh interpreter with that tree
-first on sys.path, and prints one line per case: the type and ``repr`` of
-the result (a Poly's repr lists its terms in stored order), or the
-exception's type and message, and the number of residue products
-(``recurrence._mulmod`` calls) the case made.  It then reports the cases
-whose lines differ and exits 1 if any do.
+first on sys.path, and records for each case its outcome, its stored form
+and the number of residue products (``recurrence._mulmod`` calls) it made.
+The outcome is the type of the result and its value, every Poly in it
+compared by its sorted terms, or the exception's type and message; the
+stored form is the type and ``repr`` of the result, in which a Poly lists
+its terms in stored order.  It then prints the cases that differ, each with
+its class, and a count for each class:
+
+* outcome: the outcomes differ (type, value or exception);
+* more / fewer residue products: only the residue-product count differs;
+* term order only: only a Poly's stored term order differs.
+
+It exits 1 if any case differs.
 
 The cases are ``partial_sum_closed``, ``progression_sum`` and ``seq_eval``
 on int, Fraction and constant-q(1) Poly specs at d = 1..8, with n on both
@@ -21,7 +29,9 @@ are equal.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+import json
 import os
 import random
 import subprocess
@@ -104,13 +114,32 @@ def records() -> list:
     return out
 
 
+def canonical(value):
+    """value with each Poly replaced by its sorted terms and each record by its fields, so stored term order drops out."""
+    from linrec import Poly
+
+    if isinstance(value, Poly):
+        return ("Poly", value.nvars, value.sorted_terms())
+    if isinstance(value, (tuple, list)):
+        return type(value)(map(canonical, value))
+    if hasattr(value, "__match_args__"):  # a result record
+        return (type(value).__name__, *map(canonical, vars(value).values()))
+    return value
+
+
+def emit(key: str, value, mulmods=None) -> None:
+    """Print one case as JSON: [key, outcome, stored form, residue products]."""
+    kind = type(value).__name__
+    print(json.dumps([key, f"{kind} {canonical(value)!r}", f"{kind} {value!r}", mulmods]))
+
+
 def dump_records() -> None:
     labelled = records()
     for label, record in labelled:
-        print(f"record {label} -> {type(record).__name__} {record!r}")
+        emit(f"record {label}", record)
     for i, (a, x) in enumerate(labelled):
         for b, y in labelled[i + 1:]:
-            print(f"relation {a} / {b}: == {x == y}, hash equal {hash(x) == hash(y)}")
+            emit(f"relation {a} / {b}", f"== {x == y}, hash equal {hash(x) == hash(y)}")
 
 
 def dump() -> None:
@@ -129,12 +158,14 @@ def dump() -> None:
 
     def show(label, fn, *args):
         calls.clear()
+        key = f"{label} {fn.__name__}{args[1:]}"
         try:
             value = fn(*args)
-            result = f"{type(value).__name__} {value!r}"
         except Exception as exc:  # the exception is part of the outcome compared
-            result = f"raises {type(exc).__name__}: {exc}"
-        print(f"{label} {fn.__name__}{args[1:]} -> {result} [{len(calls)} mulmods]")
+            raised = f"raises {type(exc).__name__}: {exc}"
+            print(json.dumps([key, raised, raised, len(calls)]))
+        else:
+            emit(key, value, len(calls))
 
     for label, spec, poly in specs():
         symbolic = label.startswith("poly")
@@ -151,7 +182,24 @@ def dump() -> None:
 def run(src: str) -> list:
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, __file__, "--dump"], env=env, capture_output=True, text=True, check=True)
-    return done.stdout.splitlines()
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+CLASSES = ("outcome", "more residue products", "fewer residue products", "term order only")
+
+
+def classify(old: list, new: list) -> str | None:
+    """The class of the difference between one case's two records, or None when they agree."""
+    (key, outcome, stored, mulmods), (new_key, new_outcome, new_stored, new_mulmods) = old, new
+    if key != new_key or outcome != new_outcome:
+        return "outcome"
+    if mulmods != new_mulmods:
+        return "more residue products" if new_mulmods > mulmods else "fewer residue products"
+    return None if stored == new_stored else "term order only"
+
+
+def clip(text: str) -> str:
+    return text if len(text) <= 200 else f"{text[:150]} ... {text[-40:]}"
 
 
 def main(argv) -> int:
@@ -162,10 +210,12 @@ def main(argv) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     old, new = run(argv[1]), run(argv[2])
-    differ = [(a, b) for a, b in zip(old, new) if a != b]
-    for a, b in differ[:20]:
-        print(f"- {a[:150]} ... {a[-40:]}\n+ {b[:150]} ... {b[-40:]}")
-    print(f"{len(old)} and {len(new)} cases, {len(differ)} differ")
+    differ = [(kind, a, b) for a, b in zip(old, new) if (kind := classify(a, b))]
+    for kind, a, b in differ[:20]:
+        field = {"outcome": 1, "term order only": 2}.get(kind, 3)  # the field that differs
+        print(f"[{kind}] {a[0]}\n- {clip(str(a[field]))}\n+ {clip(str(b[field]))}")
+    counts = Counter(kind for kind, _, _ in differ)
+    print(f"{len(old)} and {len(new)} cases, {len(differ)} differ: " + ", ".join(f"{kind} {counts[kind]}" for kind in CLASSES))
     return 1 if differ or len(old) != len(new) else 0
 
 

@@ -14,14 +14,20 @@ from linrec import (
     catalog_get,
     exact_div,
     lucas_transform,
+    partial_sum_closed,
+    partial_sum_form,
+    progression_sum,
     scalar_from_str,
     scalar_to_str,
+    seq_eval,
+    seq_range,
+    subseq_recurrence,
     value_from_json,
     value_to_json,
+    verify_slice,
 )
 from linrec.oracle import char_poly, fit_recurrence, mat_mul, mat_pow, mat_trace, verify_recurrence
 from linrec.progression import gamma_coefficients
-from linrec.sums import partial_sum_form
 from witnesses import bell_partial, bell_table, bell_truncated3, evaluate_form, k_lucas_number, set_partition_oracle
 
 FIB = RecurrenceSpec((1, 1), (0, 1))  # q(1) = -1, so every look-ahead sum divides exactly
@@ -77,6 +83,7 @@ WRONG_KIND = {
     "value_to_json.bool": (lambda: value_to_json(True), DomainError),
     "scalar_from_str.zero-denominator": (lambda: scalar_from_str("1/0"), DomainError),
     "scalar_from_str.not-text": (lambda: scalar_from_str(5), DomainError),
+    "scalar_from_str.bytes": (lambda: scalar_from_str(b"12"), DomainError),
     "value_from_json.list": (lambda: value_from_json([]), DomainError),
     "value_from_json.no-terms": (lambda: value_from_json({"nvars": 1}), DomainError),
     "CoeffVector.int": (lambda: CoeffVector(5), InvalidCoeffs),
@@ -103,6 +110,31 @@ def test_wrong_kind_is_a_library_error(case):
     call, error = WRONG_KIND[case]
     with pytest.raises(error):
         call()
+
+
+# each public call that takes a RecurrenceSpec, with the spec slot left to the test
+SPEC_CALLS = {
+    "seq_eval": lambda spec: seq_eval(spec, 3),
+    "seq_range": lambda spec: seq_range(spec, 0, 3),
+    "partial_sum_closed": lambda spec: partial_sum_closed(spec, 3),
+    "partial_sum_form": partial_sum_form,
+    "progression_sum": lambda spec: progression_sum(spec, 2, 1, 3),
+    "subseq_recurrence": lambda spec: subseq_recurrence(spec, 2, 1),
+    "verify_slice": lambda spec: verify_slice(spec, 2),
+}
+
+
+@pytest.mark.parametrize("not_spec", [None, (1, 1), CoeffVector((1, 1))], ids=repr)
+@pytest.mark.parametrize("call", sorted(SPEC_CALLS))
+def test_non_spec_is_invalid_coeffs(call, not_spec):
+    with pytest.raises(InvalidCoeffs):
+        SPEC_CALLS[call](not_spec)
+
+
+@pytest.mark.parametrize("call", sorted(SPEC_CALLS))
+def test_spec_is_accepted(call):
+    # so each rejection above comes from the spec slot, not from the other arguments
+    SPEC_CALLS[call](FIB)
 
 
 def test_ordered_iterables_are_accepted():

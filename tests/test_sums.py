@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -305,6 +306,92 @@ class TestFarSums:
                 divisors.clear()
                 assert partial_sum_closed(spec, n) == sum(seq_range(spec, 0, n)), (spec, n)
                 assert len(divisors) == 1 and specs == [], (spec, n)
+
+    @staticmethod
+    def request_specs(d):
+        """(kind, spec, far) at order d: int, Fraction, mixed int/Fraction and constant-q(1) Poly data, q(1) != 0.
+
+        far is False for the spec with a variable, whose far terms are too large to compute.
+        """
+        rng = random.Random(60 + d)
+        c = [rng.randint(-3, 3) for _ in range(d - 1)] + [rng.choice((-2, -1, 1, 2, 3))]
+        while sum(c) in (1, 2):  # q(1) != 0 for c and for c / 2
+            c[-1] += 1 if c[-1] != -1 else 2
+        head = [rng.randint(-5, 5) for _ in range(d)]
+        out = [
+            ("int", RecurrenceSpec(CoeffVector(tuple(c)), tuple(head)), True),
+            ("fraction", RecurrenceSpec(CoeffVector(tuple(Fraction(x, 2) for x in c)), tuple(Fraction(a, 3) for a in head)), True),
+            ("mixed", RecurrenceSpec(CoeffVector(tuple(c)), (Fraction(head[0], 3), *head[1:])), True),
+            ("const-poly", RecurrenceSpec(CoeffVector(tuple(Poly.const(x, 2) for x in c)), tuple(head)), True),
+        ]
+        if 1 < d <= 4:  # q(1) = 1 - x - (d - 2) - (4 - d - x) = -1
+            x = Poly.variable(0, 1)
+            out.append(("poly", RecurrenceSpec(CoeffVector((x, *(1,) * (d - 2), 4 - d - x)), (0,) * (d - 1) + (1,)), False))
+        return out
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_one_engine_request(self, d, monkeypatch):
+        # every route asks the engine once: the walked sum and the window for a seq_range, the half jump for
+        # a'_(n+1) alone, its head coming from the initial terms
+        requests = []
+        for name in ("seq_range", "_stride_terms"):
+            real = getattr(sums, name)
+            monkeypatch.setattr(sums, name, lambda *a, real=real, name=name: requests.append(name) or real(*a))
+        walk_edge, half_edge = _jump_from(d) - d, _HALF_JUMP_FROM - d
+        for kind, spec, far in self.request_specs(d):
+            ns = (walk_edge - 1, walk_edge, half_edge - 1, half_edge) + ((1000, 10**5) if far else ())
+            for n in ns:
+                requests.clear()
+                partial_sum_closed(spec, n)
+                assert len(requests) == 1, (kind, spec, n, requests)
+                if n >= half_edge:
+                    assert requests == ["_stride_terms"], (kind, spec, n)
+
+    def test_running_head_property(self, monkeypatch):
+        # the half jump's head a'_0..a'_(d-1), built by a'_(k+1) = a'_k + q(1) a_k, is sum_j w_j a_(k+j) in value
+        # and type; q(1) is let through unchecked (zero or a polynomial) and the engine is stopped at the head
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        class Head(Exception):
+            pass
+
+        def stop(c, head, m, r, count):
+            raise Head(head)
+
+        monkeypatch.setattr(sums, "_check_divisor", lambda c: 1 - sum(c))
+        monkeypatch.setattr(sums, "_stride_terms", stop)
+        ints = st.integers(-3, 3)
+        fractions = st.builds(Fraction, ints, st.sampled_from([2, 3, 6]))
+        scalars = {"int": ints, "fraction": fractions, "mixed": st.one_of(ints, fractions)}
+
+        @st.composite
+        def specs(draw):
+            d = draw(st.integers(1, 6))
+            kind = draw(st.sampled_from(sorted(scalars) + ["poly"]))
+            if kind == "poly":
+                c = Poly.variables(d)
+                head = [draw(st.one_of(ints, st.sampled_from(c))) for _ in range(d)]
+            else:
+                c = [draw(scalars[kind]) for _ in range(d - 1)] + [draw(scalars[kind].filter(bool))]
+                head = [draw(scalars[kind]) for _ in range(d)]
+            return RecurrenceSpec(CoeffVector(tuple(c)), tuple(head))
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(specs())
+        def check(spec):
+            d = spec.order
+            with pytest.raises(Head) as stopped:
+                partial_sum_closed(spec, _HALF_JUMP_FROM)
+            head = stopped.value.args[0]
+            w = sums._weights(spec.coeffs.c)
+            a = seq_range(spec, 0, 2 * d - 2)
+            expected = [sum(map(mul, w, a[k : k + d])) for k in range(d)]
+            assert len(head) == d
+            for k, (got, want) in enumerate(zip(head, expected)):
+                assert got == want and type(got) is type(want), (spec, k, got, want)
+
+        check()
 
     def test_against_direct_sums_property(self):
         hypothesis = pytest.importorskip("hypothesis")
