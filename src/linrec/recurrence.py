@@ -10,13 +10,14 @@ any of the exact domains from :mod:`linrec.kernel`.
 
 Every term, of a spec, its trace sequence or its inverse sequence, comes
 from one engine, :func:`_stride_heads`, and every forward walk runs inside
-it.  It clears a rational spec's denominators once: with D the lcm of the
-coefficients' denominators and e that of the initial terms' (one e for each
-set of initial terms), b_n = e*D^n*a_n satisfies the integer recurrence
-c_i*D^i, which is jumped and walked instead, and a_n = b_n / (e*D^n) is read
-off at the end.  So no walk step and no residue product over int and
-Fraction data ever sees a Fraction.  The engine alone chooses between
-walking and jumping, by the one rule in :func:`_walks`.
+it.  :func:`_lift` picks its ring once per request, clearing a rational
+spec's denominators: with D the lcm of the coefficients' denominators and e
+that of the initial terms' (one e for each set of initial terms),
+b_n = e*D^n*a_n satisfies the integer recurrence c_i*D^i, which is jumped
+and walked instead, and a_n = b_n / (e*D^n) is read off at the end.  So no
+walk step and no residue product over int and Fraction data ever sees a
+Fraction.  The engine alone chooses between walking and jumping, by the
+one rule in :func:`_walks`.
 """
 
 from __future__ import annotations
@@ -210,75 +211,74 @@ def _shifted(c: tuple, residue: list, head, s: int, count: int, poly: bool) -> l
     return [apply(residue, a[j : j + d]) for j in range(s, s + count)]
 
 
-def _stride_heads(c: tuple, heads, m: int, r: int, count: int) -> list:
-    """For each head, t_r, t_{r+m}, ..., t_{r+(count-1)m} of the sequence with recurrence c and that head.
-
-    Every head takes its terms from the same residues x^n mod q, built once.
-    A single index takes a half jump (see below); a window (m = 1) applies
-    x^r mod q to each head to give its first d terms and walks on from
-    them; a wider stride takes x^r mod q once and steps it by multiplying
-    with x^m mod q.  Where :func:`_walks` says so the head is walked
-    instead.  Int and Fraction data with some Fraction runs as the integer
-    sequences b_n = e*D^n*a_n, one D for the coefficients and one e per head
-    (see the module docstring).  On every route the initial terms come back
-    as given, and every later term has the type the forward walk gives it.
-    """
-    if count < 1:
-        return [[] for _ in heads]
-    kinds = set(map(type, chain(c, *heads)))
-    if Fraction in kinds and kinds <= {int, Fraction}:
-        D, cD = _clear_denominators(c)  # cD[i-1] = c_i*D
-        lifted_c = tuple(x * D ** (i - 1) for i, x in enumerate(cD, start=1))
-        es, eas = zip(*map(_clear_denominators, heads))  # eas[h][j] = e_h*a_j
-        lifted_heads = [tuple(x * D**j for j, x in enumerate(ea)) for ea in eas]
-        out = []
-        for head, e, bs in zip(heads, es, _stride_heads(lifted_c, lifted_heads, m, r, count)):
-            if Fraction not in set(map(type, (*c, *head))):
-                out.append(bs)  # D = e = 1
-                continue
-            terms, scale, step = [], e * D**r, D**m
-            for k, b in enumerate(bs):
-                i = r + k * m
-                terms.append(head[i] if i < len(head) else Fraction(b, scale))
-                scale *= step
-            out.append(terms)
-        return out
-    last = r + (count - 1) * m
-    poly = Poly in kinds  # the sums of products take the fused dot, decided here once
-    if _walks(len(c), m, r, count, poly):
-        return [_extend(c, list(head[: last + 1]), last, poly)[r : last + 1 : m] for head in heads]
-    apply = _dot_for(poly)
-    if count == 1:
-        # half jump: half = x^h mod q applied to the head shifted by j gives a_{h+j},
-        # so with s = r - 2h the window a_{h+s}..a_{h+s+d-1} costs products by small
-        # head terms, and half applied to that window is a_r: d full-size products
-        # where squaring half would take d(d+1)/2
-        h = r // 2
-        half = _xpow(c, h)
-        return [[apply(half, _shifted(c, half, head, r - 2 * h, len(c), poly))] for head in heads]
-    if m == 1:
-        residue = _xpow(c, r)
-        return [_extend(c, _shifted(c, residue, head, 0, min(count, len(c)), poly), count - 1, poly) for head in heads]
-    step = _xpow(c, m)
-    residue = step if r == m else _xpow(c, r)
-    out = [[] for _ in heads]
-    for k in range(count):
-        if k:
-            residue = _mulmod(residue, step, c)
-        i = r + k * m
-        for terms, head in zip(out, heads):
-            terms.append(head[i] if i < len(head) else apply(residue, head))
+def _as_given(out: list, m: int, r: int) -> list:
     return out
 
 
-def _stride_terms(c: tuple, head, m: int, r: int, count: int) -> list:
-    """t_r, t_{r+m}, ..., t_{r+(count-1)m} of the sequence with recurrence c and initial terms head.
+def _lift(c: tuple, heads) -> tuple:
+    """(ring c, ring heads, poly, read(out, m, r)): the engine's ring, picked once from the data's types.
 
-    The one-head case of :func:`_stride_heads`.  ``subseq_recurrence`` calls
-    that with two heads, the trace head hat_0..hat_{d-1} and the window
-    a_r..a_{r+d-1}, so one chain x^m, ..., x^{(d-1)m} mod q gives both gamma's
-    trace terms and the slice's initial terms.
+    Int and Poly data (Fractions beside a Poly too) run as given; read returns
+    out.  Int and Fraction data with some Fraction run lifted (see the module
+    docstring); read turns each later b_i of a head back into b_i / (e*D^i),
+    unless neither that head nor c holds a Fraction (D = e = 1).
     """
+    kinds = set(map(type, chain(c, *heads)))
+    if Fraction not in kinds or not kinds <= {int, Fraction}:
+        return c, heads, Poly in kinds, _as_given
+    D, cD = _clear_denominators(c)  # cD[i-1] = c_i*D
+    es, eas = zip(*map(_clear_denominators, heads))  # eas[h][j] = e_h*a_j
+
+    def read_off(out: list, m: int, r: int) -> list:
+        for head, e, bs in zip(heads, es, out):
+            if Fraction in set(map(type, (*c, *head))):
+                scale, step = e * D**r, D**m
+                for k, i in enumerate(range(r, r + len(bs) * m, m)):
+                    bs[k] = head[i] if i < len(head) else Fraction(bs[k], scale)
+                    scale *= step
+        return out
+    lifted_c = tuple(x * D ** (i - 1) for i, x in enumerate(cD, start=1))
+    return lifted_c, [tuple(x * D**j for j, x in enumerate(ea)) for ea in eas], False, read_off
+
+
+def _stride_heads(c: tuple, heads, m: int, r: int, count: int) -> list:
+    """For each head, t_r, t_{r+m}, ..., t_{r+(count-1)m} of the sequence with recurrence c and that head.
+
+    Every head takes its terms from the same residues x^n mod q, built once
+    in the ring :func:`_lift` picks.  A single index takes a half jump (see
+    :func:`seq_eval`); a window (m = 1) applies x^r mod q to each head to
+    give its first d terms and walks on from them; a wider stride takes
+    x^r mod q once and steps it by multiplying with x^m mod q.  Where
+    :func:`_walks` says so the head is walked instead.
+    """
+    if count < 1:
+        return [[] for _ in heads]
+    c, ring_heads, poly, read = _lift(c, heads)
+    last = r + (count - 1) * m
+    if _walks(len(c), m, r, count, poly):
+        return read([_extend(c, list(head[: last + 1]), last, poly)[r : last + 1 : m] for head in ring_heads], m, r)
+    apply = _dot_for(poly)
+    if count == 1:
+        h = r // 2
+        half = _xpow(c, h)
+        return read([[apply(half, _shifted(c, half, head, r - 2 * h, len(c), poly))] for head in ring_heads], m, r)
+    if m == 1:
+        residue = _xpow(c, r)
+        windows = [_shifted(c, residue, head, 0, min(count, len(c)), poly) for head in ring_heads]
+        return read([_extend(c, window, count - 1, poly) for window in windows], m, r)
+    step = _xpow(c, m)
+    residue = step if r == m else _xpow(c, r)
+    out = [[] for _ in heads]
+    for k, i in enumerate(range(r, last + 1, m)):
+        if k:
+            residue = _mulmod(residue, step, c)
+        for terms, head in zip(out, ring_heads):
+            terms.append(head[i] if i < len(head) else apply(residue, head))
+    return read(out, m, r)
+
+
+def _stride_terms(c: tuple, head, m: int, r: int, count: int) -> list:
+    """The one-head case of :func:`_stride_heads`: t_r, t_{r+m}, ..., t_{r+(count-1)m} from initial terms head."""
     return _stride_heads(c, (head,), m, r, count)[0]
 
 

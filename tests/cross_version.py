@@ -1,4 +1,4 @@
-"""Compare closed sums, single terms and result records across two checkouts of linrec.
+"""Compare every caller of the term engine and the result records across two checkouts of linrec.
 
     python tests/cross_version.py OLD_SRC NEW_SRC
 
@@ -17,10 +17,16 @@ its class, and a count for each class:
 
 It exits 1 if any case differs.
 
-The cases are ``partial_sum_closed``, ``progression_sum`` and ``seq_eval``
-on int, Fraction and constant-q(1) Poly specs at d = 1..8, with n on both
-sides of the engine's walk-or-jump edge (8d + 24 for int and Fraction data,
-256 for Poly data) and of ``sums._HALF_JUMP_FROM``, plus a few far n.
+The cases are ``partial_sum_closed``, ``progression_sum``, ``seq_eval``,
+``seq_range`` windows of d and 3d terms, ``gamma_coefficients`` with and
+without ``cross_check``, ``subseq_recurrence``, ``verify_slice``,
+``lucas_transform`` and ``invert_sequence`` on int, Fraction (in the
+coefficients, the initial terms or both) and constant-q(1) Poly specs at
+d = 1..8.  Indices, offsets and strides sit on both sides of each edge of
+the engine's route rule, ``recurrence._walks``: a single term or window's
+8d + 24 for int and Fraction data and 256 for Poly data, and a stride
+chain's last index 256; and on both sides of ``sums._HALF_JUMP_FROM``, plus
+a few far n.
 Before them come the result records: the type and ``repr`` of one record
 of each class from a fixed set of calls, with each record's record fields,
 then for every pair of them whether they are ``==`` and whether their hashes
@@ -57,6 +63,7 @@ def specs():
             hf = tuple(Fraction(x, rng.randint(1, 3)) for x in head)
             out.append((f"fraction d={d} #{trial}", RecurrenceSpec(CoeffVector(cf), hf), False))
             out.append((f"fraction-head d={d} #{trial}", RecurrenceSpec(CoeffVector(tuple(c)), hf), False))
+            out.append((f"fraction-coeffs d={d} #{trial}", RecurrenceSpec(CoeffVector(cf), tuple(head)), False))
         # constant Poly data, and one variable spec whose q(1) is still a constant
         nv = 2
         c = [rng.randint(-2, 2) for _ in range(d - 1)] + [rng.choice((-1, 1, 2))]
@@ -74,16 +81,42 @@ def specs():
     return out
 
 
+def term_edge(d: int, poly: bool) -> int:
+    """The least last index from which a single term or window of order d is jumped: 256 for Poly data, else 8d + 24."""
+    return 256 if poly else 8 * d + 24
+
+
 def indices(d: int, poly: bool, far: bool) -> list:
     """n on both sides of the sum and term edges at order d."""
     from linrec.sums import _HALF_JUMP_FROM
 
-    edge = 256 if poly else 8 * d + 24
+    edge = term_edge(d, poly)
     ns = {0, d - 1, d, edge - d - 1, edge - d, edge - 1, edge, edge + 1,
           _HALF_JUMP_FROM - d - 1, _HALF_JUMP_FROM - d, _HALF_JUMP_FROM - d + 1, _HALF_JUMP_FROM}
     if far:
         ns |= {511, 1000, 4097}
     return sorted(n for n in ns if n >= 0)
+
+
+def strides(d: int, poly: bool) -> list:
+    """m on both sides of the single-term edge and, at depth d - 1 and d, of the stride chain's edge at last index 256."""
+    edge = term_edge(d, poly)
+    ms = {1, 2, 3, edge - 1, edge, edge + 1}
+    for depth in (d - 1, d):
+        if depth > 1:
+            ms |= {255 // depth, -(-256 // depth)}
+    return sorted(ms)
+
+
+def slices(d: int, poly: bool) -> list:
+    """(m, r, depth) for verify_slice: windows with r on both sides of the edge, and chains of 2d terms about index 256."""
+    edge = term_edge(d, poly)
+    depth = 2 * d
+    out = [(1, r, depth) for r in (0, edge - d, edge - d + 1)]
+    for r in (0, 1):
+        m = (255 - r) // (depth - 1)
+        out += [(m, r, depth), (m + 1, r, depth)]
+    return out
 
 
 def records() -> list:
@@ -143,7 +176,10 @@ def dump_records() -> None:
 
 
 def dump() -> None:
-    from linrec import partial_sum_closed, progression_sum, recurrence, seq_eval
+    from linrec import (
+        gamma_coefficients, invert_sequence, lucas_transform, partial_sum_closed, progression_sum, recurrence, seq_eval,
+        seq_range, subseq_recurrence, verify_slice,
+    )
 
     dump_records()
 
@@ -156,11 +192,11 @@ def dump() -> None:
 
     recurrence._mulmod = counted
 
-    def show(label, fn, *args):
+    def show(label, fn, *args, **kwargs):
         calls.clear()
-        key = f"{label} {fn.__name__}{args[1:]}"
+        key = f"{label} {fn.__name__}{args[1:]}{kwargs or ''}"
         try:
-            value = fn(*args)
+            value = fn(*args, **kwargs)
         except Exception as exc:  # the exception is part of the outcome compared
             raised = f"raises {type(exc).__name__}: {exc}"
             print(json.dumps([key, raised, raised, len(calls)]))
@@ -177,6 +213,20 @@ def dump() -> None:
                 continue
             for n in indices(spec.order, poly, False):
                 show(label, progression_sum, spec, m, r, n)
+        d = spec.order
+        for n in indices(d, poly, False):
+            for width in (d, 3 * d):
+                show(label, seq_range, spec, n, n + width - 1)
+            show(label, lucas_transform, spec.coeffs, n)
+            show(label, invert_sequence, spec.coeffs, n)
+        edge = term_edge(d, poly)
+        for m in strides(d, poly):
+            show(label, gamma_coefficients, spec.coeffs, m)
+            show(label, gamma_coefficients, spec.coeffs, m, cross_check=True)
+            for r in (0, edge - d, edge - d + 1):
+                show(label, subseq_recurrence, spec, m, r)
+        for m, r, depth in slices(d, poly):
+            show(label, verify_slice, spec, m, r, depth)
 
 
 def run(src: str) -> list:

@@ -77,6 +77,21 @@ def test_one_route_rule():
     assert naming == ["recurrence.py"]
 
 
+def test_one_lift():
+    # the engine's ring is picked in one place: in recurrence.py only _lift names Fraction or clears denominators,
+    # so the engine itself holds routes only and never re-enters itself on lifted data
+    tree = ast.parse((SRC / "recurrence.py").read_text())
+    naming = [
+        getattr(node, "name", None)
+        for node in tree.body
+        if not isinstance(node, (ast.Import, ast.ImportFrom))
+        and {"Fraction", "_clear_denominators"} & names_read(ast.unparse(node))
+    ]
+    assert naming == ["_lift"]
+    (engine,) = (node for node in tree.body if getattr(node, "name", None) == "_stride_heads")
+    assert "_stride_heads" not in {getattr(node.func, "id", None) for node in ast.walk(engine) if isinstance(node, ast.Call)}
+
+
 def test_gamma_off_the_bell_table():
     # gamma and the trace terms take Newton's step; the Bell table is their witness in the tests, not a route
     naming = [p.name for p in sorted(SRC.glob("*.py")) if {"bell_table", "_bell_row_sum"} & names_read(p.read_text())]

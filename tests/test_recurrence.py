@@ -544,6 +544,66 @@ class TestRationalLift:
         for m, r, count in [(1, 0, 5), (1, _JUMP_CUTOFF, 1)]:
             assert _stride_terms(c, head, m, r, count) == walk_reference(c, head, m, r, count)
 
+    def test_each_head_keeps_its_types_property(self):
+        # the read-off decides per head: an int head beside a Fraction head under int c stays int
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ints = st.integers(-3, 3)
+        fractions = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3]))  # 4/2 among them
+
+        @st.composite
+        def cases(draw):
+            d = draw(st.integers(1, 4))
+            scalar = draw(st.sampled_from([ints, fractions]))
+            c = [draw(scalar) for _ in range(d - 1)] + [draw(scalar.filter(bool))]
+            kinds = draw(st.lists(st.sampled_from([ints, fractions]), min_size=1, max_size=2))
+            heads = [[draw(kind) for _ in range(d)] for kind in kinds]
+            if not any(isinstance(v, Fraction) for v in c + heads[-1]):
+                heads[-1][-1] = Fraction(heads[-1][-1])
+            route = draw(st.sampled_from(["walk", "half jump", "window", "stride chain"]))
+            far = _jump_from(d) + draw(st.integers(0, 40))
+            m, r, count = {
+                "walk": (draw(st.integers(1, 3)), draw(st.integers(0, 6)), draw(st.integers(1, 4))),
+                "half jump": (draw(st.integers(1, 3)), far, 1),
+                "window": (1, far, draw(st.integers(2, 6))),
+                "stride chain": (_JUMP_CUTOFF + draw(st.integers(0, 40)), draw(st.integers(0, 6)), draw(st.integers(2, 3))),
+            }[route]
+            return tuple(c), tuple(map(tuple, heads)), m, r, count, route
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(cases())
+        @hypothesis.example(((1, 1), ((0, 1), (Fraction(4, 2), Fraction(1, 3))), 1, 0, 5, "walk"))
+        @hypothesis.example(((2, -1), ((1, 3), (0, Fraction(1, 2))), 1, 300, 1, "half jump"))
+        def check(case):
+            c, heads, m, r, count, route = case
+            assert recurrence._walks(len(c), m, r, count, False) is (route == "walk")
+            for head, got in zip(heads, recurrence._stride_heads(c, heads, m, r, count)):
+                want = walk_reference(c, head, m, r, count)
+                assert got == want and list(map(type, got)) == list(map(type, want)), (head, route)
+
+        check()
+
+    @pytest.mark.parametrize("n", [5, 3000])
+    def test_one_entry_per_request(self, monkeypatch, n):
+        # the lift happens once per request: the engine is entered once for each, never again on lifted data
+        entries = []
+        real = recurrence._stride_heads
+
+        def spy(*args):
+            entries.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(recurrence, "_stride_heads", spy)
+        monkeypatch.setattr(progression, "_stride_heads", spy)
+        spec = TestRationalSpecsStayIntegral.SPEC
+        assert seq_eval(spec, n) == by_matrix(spec, n)
+        assert len(entries) == 1
+        entries.clear()
+        sub = subseq_recurrence(spec, 7, n)
+        requests = len(entries)
+        assert sub.initial == tuple(seq_eval(spec, 7 * i + n) for i in range(spec.order))
+        assert requests == 2  # the window a_n..a_(n+d-1), then the chain shared with the trace head
+
 
 class TestRationalSpecsStayIntegral:
     """No Fraction from scalar data reaches the residue arithmetic or a walk step."""
