@@ -30,6 +30,9 @@ third: ``+``, ``-``, ``*`` and :func:`dot` all run it.
 The library's result values (coefficient vectors, specs, gamma vectors,
 reports, closed forms, catalog entries) are immutable :class:`Record`
 subclasses, not dataclasses, so importing linrec loads no ``dataclasses``.
+Each states its fields once, as class annotations, and ``Record.__init__``
+binds them; only a record that checks its arguments (a coefficient vector,
+a spec, a characteristic polynomial) writes its own ``__init__``.
 """
 
 from __future__ import annotations
@@ -83,13 +86,16 @@ def _check_exact(values, what: str, error: type = DomainError) -> tuple:
 class Record:
     """Base of the library's result values: immutable records of named fields.
 
-    A subclass lists its fields as class annotations, in order, and its own
-    ``__init__`` sets each once, in that order, by writing ``self.__dict__``.
-    Two records are equal when their class and their fields are; a record
-    hashes by its fields, prints as ``Name(field=value, ...)`` and matches a
-    positional ``case`` pattern field by field.  Assigning or deleting an
-    attribute raises AttributeError.  The fields live in ``__dict__``, so
-    pickle and ``copy`` need no hooks; a copy with changes is a constructor call.
+    A subclass lists its fields as class annotations, in order, and the base
+    binds them: positional and then keyword arguments fill the fields in that
+    order, and a missing, unknown, repeated or surplus field raises TypeError.
+    A subclass that checks its arguments defines ``__init__`` instead and
+    writes each checked field once into ``self.__dict__``.  Two records are
+    equal when their class and their fields are; a record hashes by its
+    fields, prints as ``Name(field=value, ...)`` and matches a positional
+    ``case`` pattern field by field.  Assigning or deleting an attribute
+    raises AttributeError.  The fields live in ``__dict__``, so pickle and
+    ``copy`` need no hooks; a copy with changes is a constructor call.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -103,7 +109,23 @@ class Record:
             return hash(values(self))
 
         cls.__match_args__ = names
+        cls._names = frozenset(names)
         cls.__hash__ = __hash__
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if len(args) == len(names) and not kwargs:  # every field by position: the fast path
+            fields = zip(names, args)
+        elif not args and kwargs.keys() == self._names:  # every field by keyword
+            fields = kwargs
+        elif len(args) < len(names) and kwargs.keys() == self._names.difference(names[: len(args)]):
+            fields = dict(zip(names, args), **kwargs)
+        else:  # a surplus positional, or a missing, unknown or repeated field
+            raise TypeError(
+                f"{self.__class__.__name__}() needs each field of {names} once: "
+                f"got {len(args)} by position and {tuple(kwargs)} by keyword"
+            )
+        self.__dict__.update(fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

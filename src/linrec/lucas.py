@@ -36,11 +36,6 @@ class LucasTransform(Record):
     coeffs: CoeffVector
     terms: tuple
 
-    def __init__(self, coeffs, terms):
-        fields = self.__dict__
-        fields["coeffs"] = coeffs
-        fields["terms"] = terms
-
 
 def lucas_transform(coeffs, upto: int) -> LucasTransform:
     """Trace terms hat_0..hat_upto: the window from hat_0 of the recurrence with the Newton head."""

@@ -33,11 +33,6 @@ class GammaVector(Record):
     m: int
     coeffs: CoeffVector
 
-    def __init__(self, m, coeffs):
-        fields = self.__dict__
-        fields["m"] = m
-        fields["coeffs"] = coeffs
-
     @property
     def gamma(self) -> tuple:
         return self.coeffs.c
@@ -121,16 +116,6 @@ class SliceReport(Record):
     charpoly_agree: bool
     violations: tuple
     fit: str
-
-    def __init__(self, m, r, depth, gamma, charpoly_agree, violations, fit):
-        fields = self.__dict__
-        fields["m"] = m
-        fields["r"] = r
-        fields["depth"] = depth
-        fields["gamma"] = gamma
-        fields["charpoly_agree"] = charpoly_agree
-        fields["violations"] = violations
-        fields["fit"] = fit
 
     @property
     def passed(self) -> bool:

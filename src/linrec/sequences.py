@@ -37,15 +37,6 @@ class CatalogEntry(Record):
     hat_of: str | None
     notes: str
 
-    def __init__(self, name, oeis, spec, prefix, hat_of, notes):
-        fields = self.__dict__
-        fields["name"] = name
-        fields["oeis"] = oeis
-        fields["spec"] = spec
-        fields["prefix"] = prefix
-        fields["hat_of"] = hat_of
-        fields["notes"] = notes
-
 
 _PREFIX_LEN = 20
 _MAX_K = 100

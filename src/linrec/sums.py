@@ -72,12 +72,6 @@ class SumClosedForm(Record):
     weights: tuple
     constant: object
 
-    def __init__(self, divisor, weights, constant):
-        fields = self.__dict__
-        fields["divisor"] = divisor
-        fields["weights"] = weights
-        fields["constant"] = constant
-
 
 def _divisor(c: tuple):
     """q(1) = 1 - c_1 - ... - c_d; DegenerateDivisor when it is zero."""

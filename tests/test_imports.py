@@ -92,6 +92,19 @@ def test_one_lift():
     assert "_stride_heads" not in {getattr(node.func, "id", None) for node in ast.walk(engine) if isinstance(node, ast.Call)}
 
 
+def test_one_record_constructor():
+    # Record.__init__ binds the fields a record annotates: only the records that check their arguments write their own
+    checking = sorted(
+        node.name
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.parse(p.read_text()).body
+        if isinstance(node, ast.ClassDef)
+        and "Record" in {getattr(base, "id", None) for base in node.bases}
+        and any(isinstance(item, ast.FunctionDef) and item.name == "__init__" for item in node.body)
+    )
+    assert checking == ["CharPoly", "CoeffVector", "RecurrenceSpec"]
+
+
 def test_gamma_off_the_bell_table():
     # gamma and the trace terms take Newton's step; the Bell table is their witness in the tests, not a route
     naming = [p.name for p in sorted(SRC.glob("*.py")) if {"bell_table", "_bell_row_sum"} & names_read(p.read_text())]

@@ -108,5 +108,12 @@ def test_record_contract(cls, build, shown):
         cls(*fields[:-1])
     with pytest.raises(TypeError):
         cls(*fields, fields[-1])
+    assert cls(*fields[:1], **dict(zip(names[1:], fields[1:]))) == record
+    with pytest.raises(TypeError, match=cls.__name__):
+        cls(*fields, extra=1)
+    with pytest.raises(TypeError, match=cls.__name__):
+        cls(*fields, **{names[0]: fields[0]})
+    with pytest.raises(TypeError, match=cls.__name__):
+        cls(**dict(zip(names[:-1], fields[:-1])))
 
     assert positional(record) == fields

@@ -37,6 +37,7 @@ class TestSelfCheck:
 class TestFixedEntries:
     def test_fibonacci(self):
         e = catalog_get("fibonacci")
+        assert e.oeis == "A000045"
         assert e.prefix[:10] == (0, 1, 1, 2, 3, 5, 8, 13, 21, 34)
 
     def test_lucas(self):
